@@ -186,7 +186,7 @@ int main() {
           "runtime.search_update", "runtime.publish"};
       if (week + 1 > kRetentionWeeks) {
         eligible.insert(eligible.end(),
-                        {"collection.evict", "frequency.evict", "index.evict"});
+                        {"collection.evict", "frequency.evict"});
       }
       const std::string& site =
           eligible[static_cast<size_t>(week) % eligible.size()];

@@ -38,8 +38,6 @@ SiteState g_sites[] = {
     {"runtime.remine"},           // FeedRuntime staging, before the re-mine
     {"runtime.search_update"},    // per-term search-posting staging (pool
                                   // workers in StageSearchPostings)
-    {"index.evict"},              // InvertedIndex::EvictBefore, before any
-                                  // mutation
     {"runtime.publish"},          // after the next search snapshot is fully
                                   // built, before its publication swap
     {"sharded.commit"},           // ShardedRuntime::Tick, after every shard

@@ -1,12 +1,19 @@
 // One published generation of the search read plane.
 //
 // A tick that edits search state builds the next IndexSnapshot off to the
-// side (a private copy of the current index, edited through the usual
-// Reopen → EvictBefore/ReplaceTerm → Finalize fast path) and publishes it
-// with one atomic swap; readers hold a shared_ptr<const IndexSnapshot> and
-// query it lock-free for as long as they like. The metadata alongside the
-// index pins down what "internally consistent" means for a result computed
-// against this snapshot: its generation, and the window the postings cover.
+// side and publishes it with one atomic swap; readers hold a
+// shared_ptr<const IndexSnapshot> and query it lock-free for as long as
+// they like. The next index is InvertedIndex::Successor of the current one:
+// it shares every frozen TermList except those of the terms the tick
+// re-scored, so a generation costs O(V) pointer copies plus the changed
+// lists, and freeing a superseded one frees only what its successor
+// replaced. Dirty terms carry all eviction — a term with a posting on an
+// evicted document lost frequency postings, so it is re-scored from the
+// retained documents; only the terms a degraded tick defers instead get a
+// copy of their list filtered to doc >= doc_id_base. The metadata alongside
+// the index pins down what "internally consistent" means for a result
+// computed against this snapshot: its generation, and the window the
+// postings cover.
 
 #ifndef STBURST_INDEX_INDEX_SNAPSHOT_H_
 #define STBURST_INDEX_INDEX_SNAPSHOT_H_

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "stburst/common/fault_injection.h"
 #include "stburst/common/logging.h"
 
 namespace stburst {
@@ -16,121 +15,116 @@ bool ScoreOrder(const Posting& a, const Posting& b) {
   return a.doc < b.doc;
 }
 
+bool DocOrder(const Posting& a, const Posting& b) { return a.doc < b.doc; }
+
 }  // namespace
 
+std::shared_ptr<const TermList> TermList::Freeze(
+    std::vector<Posting> postings) {
+  if (postings.empty()) return nullptr;
+  auto list = std::make_shared<TermList>(Key{});
+  // The doc-ordered arrays first, while the input may still be in DocId
+  // order; only out-of-order input pays a second sort.
+  if (!std::is_sorted(postings.begin(), postings.end(), DocOrder)) {
+    std::sort(postings.begin(), postings.end(), DocOrder);
+  }
+  list->docs_.reserve(postings.size());
+  list->doc_scores_.reserve(postings.size());
+  for (const Posting& p : postings) {
+    list->docs_.push_back(p.doc);
+    list->doc_scores_.push_back(p.score);
+  }
+  std::sort(postings.begin(), postings.end(), ScoreOrder);
+  list->by_score_ = std::move(postings);
+  return list;
+}
+
+std::shared_ptr<const TermList> TermList::DropBefore(DocId min_doc) const {
+  const auto first = std::lower_bound(docs_.begin(), docs_.end(), min_doc);
+  if (first == docs_.end()) return nullptr;
+  // Survivors keep their relative order in both arrays: no re-sort.
+  auto kept = std::make_shared<TermList>(Key{});
+  kept->docs_.assign(first, docs_.end());
+  kept->doc_scores_.assign(doc_scores_.begin() + (first - docs_.begin()),
+                           doc_scores_.end());
+  kept->by_score_.reserve(kept->docs_.size());
+  for (const Posting& p : by_score_) {
+    if (p.doc >= min_doc) kept->by_score_.push_back(p);
+  }
+  return kept;
+}
+
+bool TermList::Score(DocId doc, double* score) const {
+  // Branchless lower bound: TA probes lists at unpredictable DocIds, so a
+  // conditional move per halving beats std::lower_bound's mispredicted
+  // branches. Invariant: the lower bound lies in [base, base + n].
+  const DocId* base = docs_.data();
+  size_t n = docs_.size();
+  while (n > 1) {
+    const size_t half = n / 2;
+    base = base[half] < doc ? base + half : base;
+    n -= half;
+  }
+  const size_t pos = static_cast<size_t>(base - docs_.data()) +
+                     (*base < doc ? 1 : 0);
+  if (pos == docs_.size() || docs_[pos] != doc) return false;
+  *score = doc_scores_[pos];
+  return true;
+}
+
 void InvertedIndex::Add(TermId term, DocId doc, double score) {
-  STB_CHECK(!finalized_) << "Add after Finalize (call Reopen first)";
-  if (term >= postings_.size()) postings_.resize(term + 1);
-  postings_[term].push_back(Posting{doc, score});
+  STB_CHECK(!finalized_) << "Add after Finalize";
+  if (term >= pending_.size()) pending_.resize(term + 1);
+  pending_[term].push_back(Posting{doc, score});
   ++total_postings_;
-  if (ever_finalized_) dirty_.push_back(term);
 }
 
 void InvertedIndex::Finalize() {
   if (finalized_) return;
-  lookup_.resize(postings_.size());
-  auto refreeze_term = [this](TermId t) {
-    auto& plist = postings_[t];
-    std::sort(plist.begin(), plist.end(), ScoreOrder);
-    auto& map = lookup_[t];
-    // The map is maintained, not rebuilt: postings only ever leave through
-    // EvictBefore (which erases their keys) and ClearTerm (which clears the
-    // map), so at refreeze time every mapped doc is still in the list and
-    // only docs added since the last freeze need nodes. emplace keeps the
-    // existing node for mapped docs — a failed find instead of a
-    // free+malloc pair, which is what makes the eviction-aware refreeze
-    // cheaper than a rebuild (bench: inverted_reopen_evict).
-    map.reserve(plist.size());
-    for (const Posting& p : plist) map.emplace(p.doc, p.score);
-  };
-  if (!ever_finalized_) {
-    for (size_t t = 0; t < postings_.size(); ++t) {
-      refreeze_term(static_cast<TermId>(t));
-    }
-  } else {
-    // Incremental re-freeze: only terms with postings added since the last
-    // Finalize() need their order and random-access map rebuilt.
-    std::sort(dirty_.begin(), dirty_.end());
-    dirty_.erase(std::unique(dirty_.begin(), dirty_.end()), dirty_.end());
-    for (TermId t : dirty_) refreeze_term(t);
+  lists_.resize(pending_.size());
+  for (size_t t = 0; t < pending_.size(); ++t) {
+    lists_[t] = TermList::Freeze(std::move(pending_[t]));
   }
-  dirty_.clear();
+  pending_.clear();
+  pending_.shrink_to_fit();
   finalized_ = true;
-  ever_finalized_ = true;
-  ++generation_;
+  generation_ = 1;
 }
 
-void InvertedIndex::Reopen() { finalized_ = false; }
-
-void InvertedIndex::AbortReopen() {
-  STB_CHECK(ever_finalized_) << "AbortReopen on a never-finalized index";
-  STB_CHECK(dirty_.empty()) << "AbortReopen with pending edits";
-  finalized_ = true;
-}
-
-void InvertedIndex::EvictBefore(DocId min_live_doc) {
-  STB_CHECK(!finalized_) << "EvictBefore on a frozen index (call Reopen first)";
-  STBURST_FAULT_POINT_THROW("index.evict");
-  for (size_t t = 0; t < postings_.size(); ++t) {
-    auto& plist = postings_[t];
-    const auto keep = [min_live_doc](const Posting& p) {
-      return p.doc >= min_live_doc;
-    };
-    const auto first_evicted =
-        std::find_if_not(plist.begin(), plist.end(), keep);
-    if (first_evicted == plist.end()) continue;
-    // Survivors keep their relative (score, doc) order, so no re-sort; and
-    // the evicted docs are known exactly, so the random-access map pays
-    // O(evicted) targeted erases, not an O(survivors) rebuild — that
-    // asymmetry is what lets the steady-state tick beat a rebuild even
-    // when an eviction touches most of the active vocabulary. One
-    // allocation-free compaction pass does both.
-    const bool mapped = t < lookup_.size();
-    auto out = first_evicted;
-    for (auto it = first_evicted; it != plist.end(); ++it) {
-      if (keep(*it)) {
-        *out++ = *it;
-      } else {
-        if (mapped) lookup_[t].erase(it->doc);
-        --total_postings_;
-      }
-    }
-    plist.erase(out, plist.end());
+InvertedIndex InvertedIndex::Successor(
+    std::span<const TermId> terms,
+    std::vector<std::shared_ptr<const TermList>> lists) const {
+  STB_CHECK(pending_.empty()) << "Successor of an index with unfrozen Add()s";
+  STB_CHECK(terms.size() == lists.size()) << "terms and lists must align";
+  InvertedIndex next;
+  next.lists_ = lists_;
+  next.total_postings_ = total_postings_;
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const TermId t = terms[i];
+    if (t >= next.lists_.size()) next.lists_.resize(t + 1);
+    std::shared_ptr<const TermList>& slot = next.lists_[t];
+    if (slot != nullptr) next.total_postings_ -= slot->size();
+    slot = std::move(lists[i]);
+    if (slot != nullptr) next.total_postings_ += slot->size();
   }
+  next.finalized_ = true;
+  next.generation_ = generation_ + 1;
+  return next;
 }
 
-void InvertedIndex::ClearTerm(TermId term) {
-  STB_CHECK(!finalized_) << "ClearTerm on a frozen index (call Reopen first)";
-  if (term >= postings_.size()) return;
-  total_postings_ -= postings_[term].size();
-  postings_[term].clear();
-  if (term < lookup_.size()) lookup_[term].clear();
-  if (ever_finalized_) dirty_.push_back(term);
-}
-
-void InvertedIndex::ReplaceTerm(TermId term, std::vector<Posting> postings) {
-  STB_CHECK(!finalized_) << "ReplaceTerm on a frozen index (call Reopen first)";
-  if (term >= postings_.size()) postings_.resize(term + 1);
-  total_postings_ -= postings_[term].size();
-  total_postings_ += postings.size();
-  postings_[term] = std::move(postings);
-  if (term < lookup_.size()) lookup_[term].clear();
-  if (ever_finalized_) dirty_.push_back(term);
+const TermList* InvertedIndex::list(TermId term) const {
+  STB_CHECK(finalized_) << "list before Finalize";
+  return term < lists_.size() ? lists_[term].get() : nullptr;
 }
 
 const std::vector<Posting>& InvertedIndex::postings(TermId term) const {
-  STB_CHECK(finalized_) << "postings before Finalize";
-  if (term >= postings_.size()) return kEmpty;
-  return postings_[term];
+  const TermList* l = list(term);
+  return l != nullptr ? l->by_score() : kEmpty;
 }
 
 bool InvertedIndex::Score(TermId term, DocId doc, double* score) const {
-  STB_CHECK(finalized_) << "Score before Finalize";
-  if (term >= lookup_.size()) return false;
-  auto it = lookup_[term].find(doc);
-  if (it == lookup_[term].end()) return false;
-  *score = it->second;
-  return true;
+  const TermList* l = list(term);
+  return l != nullptr && l->Score(doc, score);
 }
 
 }  // namespace stburst

@@ -1,12 +1,23 @@
 // Score-sorted inverted index (paper §5): term -> documents ranked by their
 // per-term score, supporting both the sorted access the Threshold Algorithm
 // scans and the random access it probes.
+//
+// Each term's postings live in one immutable TermList, held by
+// shared_ptr<const TermList> and frozen when built. An index is a vector of
+// those pointers, so a live maintainer (FeedRuntime's search read plane)
+// builds the next generation with Successor(): O(V) pointer copies plus the
+// lists it actually re-scored. Every list it did not touch is shared, storage
+// and all, with the generation before — readers holding either generation
+// see the same frozen bytes, and freeing a superseded generation frees only
+// the lists it replaced.
 
 #ifndef STBURST_INDEX_INVERTED_INDEX_H_
 #define STBURST_INDEX_INVERTED_INDEX_H_
 
 #include <cstddef>
-#include <unordered_map>
+#include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "stburst/stream/types.h"
@@ -19,97 +30,103 @@ struct Posting {
   double score = 0.0;
 };
 
-/// Append-then-freeze inverted index with incremental re-freeze. Add() all
-/// postings, Finalize() once, then query; per-term posting lists are sorted
-/// by descending score. On a live feed, Reopen() lets new postings in after
-/// a freeze: the next Finalize() re-sorts only the terms touched since the
-/// last one, and generation() tells consumers holding cached query results
-/// (e.g. Threshold-Algorithm top-k lists) that they are stale.
+/// One term's frozen posting list: the postings in (score desc, DocId asc)
+/// order for TA's sorted access, plus a DocId-sorted copy that random access
+/// binary-searches. Immutable after Freeze; shared between index
+/// generations, so concurrent readers need no synchronization.
+class TermList {
+ public:
+  /// Freezes `postings` (any order; each doc at most once). Null for an
+  /// empty list — an index stores absent terms as null. O(n log n); input
+  /// already in DocId order (what every scorer in the library produces)
+  /// skips the second sort.
+  static std::shared_ptr<const TermList> Freeze(std::vector<Posting> postings);
+
+  /// A new list without the postings of docs < `min_doc`; null when none
+  /// survive. How a maintainer drops evicted documents from a term it is
+  /// not re-scoring. O(size), no re-sort.
+  std::shared_ptr<const TermList> DropBefore(DocId min_doc) const;
+
+  /// Postings by descending score, ties by ascending DocId.
+  const std::vector<Posting>& by_score() const { return by_score_; }
+
+  /// Random access: the score of `doc`; false if absent. O(log n).
+  bool Score(DocId doc, double* score) const;
+
+  /// Smallest DocId in the list (lists are never empty).
+  DocId min_doc() const { return docs_.front(); }
+  size_t size() const { return by_score_.size(); }
+
+  TermList(const TermList&) = delete;
+  TermList& operator=(const TermList&) = delete;
+
+ private:
+  // Constructible only through Freeze/DropBefore, which keep lists
+  // non-empty and both orders in sync; the key lets them use make_shared.
+  struct Key {};
+
+ public:
+  explicit TermList(Key) {}
+
+ private:
+  std::vector<Posting> by_score_;
+  std::vector<DocId> docs_;         // ascending
+  std::vector<double> doc_scores_;  // parallel to docs_
+};
+
+/// Build-once inverted index with structural-sharing successors. Either
+/// Add() every posting and Finalize() once (the one-shot build
+/// BurstySearchEngine uses), or derive a finalized index from another with
+/// Successor() (the per-tick path of a live maintainer). Queries require a
+/// finalized index.
 ///
-/// Thread-safety: queries on a finalized index are const and safe from any
-/// number of threads; Add/Reopen/Finalize are writers and must be
-/// externally serialized against them.
+/// Thread-safety: a finalized index is never mutated, so queries are safe
+/// from any number of threads; Add/Finalize are single-threaded build steps.
 class InvertedIndex {
  public:
-  /// Records that `doc` scores `score` for `term`. Must precede Finalize()
-  /// (or follow a Reopen()). Each (term, doc) pair must be added at most
-  /// once per lifetime of the term's postings — to change a frozen term's
-  /// scores, ClearTerm() it and re-Add (re-adding a still-listed pair keeps
-  /// the first-frozen score in the random-access map). Amortized O(1).
+  /// Records that `doc` scores `score` for `term`. Only before Finalize();
+  /// each (term, doc) pair at most once. Amortized O(1).
   void Add(TermId term, DocId doc, double score);
 
-  /// Sorts posting lists and builds the random-access maps. Idempotent.
-  /// The first call sorts everything; after a Reopen() only terms with new
-  /// postings are re-sorted and re-mapped (O(Σ |postings| of dirty terms)).
-  /// Each state-changing call bumps generation().
+  /// Freezes every term's postings into its TermList and bumps
+  /// generation() to 1. Idempotent.
   void Finalize();
 
-  /// Re-opens a finalized index so Add() is legal again. Queries are
-  /// rejected until the next Finalize(). No-op when already open.
-  void Reopen();
+  /// The next generation: shares every TermList of this index except
+  /// `terms[i]`, whose list becomes `lists[i]` (null = no postings; the term
+  /// range grows as needed). Finalized, at generation() + 1. This index must
+  /// hold no unfrozen Add()s; a default-constructed index is the empty
+  /// generation 0, so its successor is a first generation. O(V + |terms|).
+  InvertedIndex Successor(
+      std::span<const TermId> terms,
+      std::vector<std::shared_ptr<const TermList>> lists) const;
 
-  /// Reverts a Reopen() that made no edits: re-freezes without bumping
-  /// generation(), so consumers holding cached query results keep them —
-  /// the index is exactly what they cached. The caller guarantees nothing
-  /// was Added/Cleared/Evicted since the Reopen(); a transactional owner
-  /// (FeedRuntime) uses this when a tick fails after Reopen() but before
-  /// its first index edit. Checked error if edits are pending or the index
-  /// was never finalized.
-  void AbortReopen();
-
-  /// Eviction-aware edit: removes every posting whose doc precedes
-  /// `min_live_doc` — the in-place follow-up to a prefix eviction
-  /// (Collection::EvictBefore with EvictionReport::ids_preserved, where
-  /// surviving documents keep their ids). Erasure preserves each term's
-  /// score order, so nothing is re-sorted, and the evicted docs are known
-  /// exactly, so the random-access maps pay O(evicted) targeted erases —
-  /// no per-term rebuild. Requires the index to be open (Reopen() first);
-  /// the next Finalize() bumps generation() for the whole edit batch,
-  /// exactly as an append-only refreeze would, so cached query results are
-  /// invalidated the same way. O(total postings) scan + O(evicted) map
-  /// erases — no collection re-scan, no re-scoring (bench:
-  /// inverted_reopen_evict).
-  void EvictBefore(DocId min_live_doc);
-
-  /// Drops all postings of `term` (marking it dirty for the next
-  /// Finalize()) so a consumer can re-derive them from fresh pattern state
-  /// — the per-term replacement path FeedRuntime's search serving takes
-  /// when a term is re-mined. Requires the index to be open. O(postings of
-  /// the term).
-  void ClearTerm(TermId term);
-
-  /// ClearTerm + bulk re-Add in one move: replaces `term`'s postings with
-  /// `postings` (scores need not be sorted — the next Finalize() sorts) and
-  /// marks the term dirty. The move-in makes this the no-allocation commit
-  /// step for staged per-term updates (FeedRuntime stages scored postings
-  /// off to the side, then commits each term with one ReplaceTerm).
-  /// Requires the index to be open. O(postings of the term).
-  void ReplaceTerm(TermId term, std::vector<Posting> postings);
-
-  /// Monotone freeze counter, bumped by every completing Finalize().
+  /// Monotone generation counter: 1 after Finalize(), +1 per Successor().
   /// Consumers cache it alongside derived results (top-k lists, pattern
   /// joins) and recompute when it moved.
   uint64_t generation() const { return generation_; }
 
-  /// Sorted postings of a term (empty if none). Requires Finalize().
+  /// The frozen list of a term; null if it has no postings. Requires a
+  /// finalized index.
+  const TermList* list(TermId term) const;
+
+  /// Sorted postings of a term (empty if none). Requires a finalized index.
   const std::vector<Posting>& postings(TermId term) const;
 
   /// Random access: the score of `doc` for `term`; false if absent.
-  /// Requires Finalize().
+  /// Requires a finalized index.
   bool Score(TermId term, DocId doc, double* score) const;
 
-  size_t num_terms() const { return postings_.size(); }
+  size_t num_terms() const { return lists_.size(); }
   size_t total_postings() const { return total_postings_; }
   bool finalized() const { return finalized_; }
 
  private:
   bool finalized_ = false;
-  bool ever_finalized_ = false;
   uint64_t generation_ = 0;
   size_t total_postings_ = 0;
-  std::vector<std::vector<Posting>> postings_;  // indexed by TermId
-  std::vector<std::unordered_map<DocId, double>> lookup_;
-  std::vector<TermId> dirty_;  // terms Add()ed since the last Finalize()
+  std::vector<std::vector<Posting>> pending_;  // Add()s until Finalize()
+  std::vector<std::shared_ptr<const TermList>> lists_;  // indexed by TermId
   static const std::vector<Posting> kEmpty;
 };
 

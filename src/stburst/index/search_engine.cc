@@ -37,35 +37,51 @@ BurstySearchEngine BurstySearchEngine::Build(const Collection& collection,
   return engine;
 }
 
-void ScoreTermDocuments(const Collection& collection,
-                        const FrequencyIndex& freq, TermId term,
-                        std::span<const TermPattern> patterns,
-                        std::vector<Posting>* out) {
-  if (patterns.empty()) return;  // no pattern can overlap: no postings
-  for (const TermPosting& cell : freq.postings(term)) {
-    double burst_score;
-    if (!MaxOverlapScore(patterns, cell.stream, cell.time, &burst_score)) {
-      continue;
-    }
-    for (DocId id : collection.DocumentsAt(cell.stream, cell.time)) {
-      const Document& doc = collection.document(id);
-      size_t count = 0;
-      for (TermId token : doc.tokens) count += token == term ? 1 : 0;
-      if (count == 0) continue;  // another doc of the cell carries the term
-      const double entry =
-          Relevance(static_cast<double>(count)) * burst_score;
-      if (entry > 0.0) out->push_back(Posting{id, entry});
+void AppendDocPostings(const Collection& collection, DocId first,
+                       std::vector<std::vector<DocCount>>* lists) {
+  std::vector<TermId> distinct;
+  const DocId base = collection.doc_id_base();
+  for (size_t i = static_cast<size_t>(first - base);
+       i < collection.num_documents(); ++i) {
+    const Document& doc = collection.documents()[i];
+    distinct = doc.tokens;
+    std::sort(distinct.begin(), distinct.end());
+    for (size_t a = 0; a < distinct.size();) {
+      size_t b = a;
+      while (b < distinct.size() && distinct[b] == distinct[a]) ++b;
+      const TermId term = distinct[a];
+      if (term >= lists->size()) lists->resize(term + 1);
+      (*lists)[term].push_back(
+          DocCount{doc.id, static_cast<uint32_t>(b - a)});
+      a = b;
     }
   }
 }
 
-void IndexTermDocuments(const Collection& collection,
-                        const FrequencyIndex& freq, TermId term,
-                        std::span<const TermPattern> patterns,
-                        InvertedIndex* index) {
-  std::vector<Posting> scored;
-  ScoreTermDocuments(collection, freq, term, patterns, &scored);
-  for (const Posting& p : scored) index->Add(term, p.doc, p.score);
+void ScoreDocPostings(const Collection& collection,
+                      std::span<const DocCount> docs,
+                      std::span<const TermPattern> patterns,
+                      std::vector<Posting>* out) {
+  if (patterns.empty()) return;  // no pattern can overlap: no postings
+  // Entries are in DocId order, so the documents of one (stream, time) cell
+  // that carry the term are usually adjacent: reuse the last cell's overlap
+  // score.
+  StreamId cell_stream = kInvalidStream;
+  Timestamp cell_time = 0;
+  bool cell_hit = false;
+  double burst_score = 0.0;
+  for (const DocCount& entry : docs) {
+    const Document& doc = collection.document(entry.doc);
+    if (doc.stream != cell_stream || doc.time != cell_time) {
+      cell_stream = doc.stream;
+      cell_time = doc.time;
+      cell_hit = MaxOverlapScore(patterns, doc.stream, doc.time, &burst_score);
+    }
+    if (!cell_hit) continue;
+    const double score =
+        Relevance(static_cast<double>(entry.count)) * burst_score;
+    if (score > 0.0) out->push_back(Posting{entry.doc, score});
+  }
 }
 
 TopKResult BurstySearchEngine::Search(const std::string& query, size_t k) const {

@@ -14,6 +14,7 @@
 #ifndef STBURST_INDEX_SEARCH_ENGINE_H_
 #define STBURST_INDEX_SEARCH_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -23,7 +24,6 @@
 #include "stburst/index/pattern_index.h"
 #include "stburst/index/threshold_algorithm.h"
 #include "stburst/stream/collection.h"
-#include "stburst/stream/frequency.h"
 #include "stburst/stream/tokenizer.h"
 
 namespace stburst {
@@ -66,32 +66,34 @@ class BurstySearchEngine {
 /// relevance(d, t) of Eq. 10 for a raw term frequency.
 double Relevance(double term_frequency);
 
-/// Recomputes the search postings of one term, term-major: every retained
-/// document containing `term` — found through the frequency index's sparse
-/// postings and the collection's per-(stream, timestamp) document lists —
-/// is scored relevance × max pattern overlap, and positive entries are
-/// Add()ed to `index`. The index must be open and hold no postings for the
-/// term (ClearTerm first when replacing). This is the incremental path a
-/// live maintainer (FeedRuntime's search serving) takes when a term's
-/// patterns change: postings produced this way are identical to the ones
-/// BurstySearchEngine::Build derives doc-major from the same pattern state
-/// (tested). `freq` must be in sync with `collection` (same windowed feed).
-/// O(Σ docs at the term's nonzero cells × tokens per doc).
-void IndexTermDocuments(const Collection& collection,
-                        const FrequencyIndex& freq, TermId term,
-                        std::span<const TermPattern> patterns,
-                        InvertedIndex* index);
+/// One document's multiplicity of a term: an entry of a term's doc-level
+/// posting list, which ScoreDocPostings scores.
+struct DocCount {
+  DocId doc = kInvalidDoc;
+  uint32_t count = 0;
+};
 
-/// The scoring half of IndexTermDocuments, decoupled from the index: appends
-/// the term's positive (doc, score) entries to `out` in the same order
-/// IndexTermDocuments would Add() them. A transactional maintainer
-/// (FeedRuntime) scores every touched term into staging vectors first and
-/// commits each with one InvertedIndex::ReplaceTerm only after the whole
-/// tick succeeded. Same sync requirements as IndexTermDocuments.
-void ScoreTermDocuments(const Collection& collection,
-                        const FrequencyIndex& freq, TermId term,
-                        std::span<const TermPattern> patterns,
-                        std::vector<Posting>* out);
+/// Appends the documents of `collection` with ids >= `first` to per-term
+/// doc-level posting lists (indexed by TermId, grown as needed): one
+/// (doc, count) entry per distinct term of each document, in DocId order. A
+/// live maintainer (FeedRuntime's search serving) calls this with the ids a
+/// tick appended; `first` = doc_id_base() builds the lists from scratch
+/// over empty `lists`. O(tokens of the documents, log-factor per document).
+void AppendDocPostings(const Collection& collection, DocId first,
+                       std::vector<std::vector<DocCount>>* lists);
+
+/// Scores one term's doc-level postings against the term's patterns: each
+/// entry scores relevance(count) × the max score of the patterns its
+/// document's (stream, time) overlaps, and positive entries are appended to
+/// `out` in the list's DocId order. Every entry must name a retained
+/// document of `collection`. The postings are identical to the ones
+/// BurstySearchEngine::Build derives doc-major from the same pattern state
+/// (tested). O(|docs|) plus one pattern scan per run of entries sharing a
+/// (stream, time) cell; nothing when `patterns` is empty.
+void ScoreDocPostings(const Collection& collection,
+                      std::span<const DocCount> docs,
+                      std::span<const TermPattern> patterns,
+                      std::vector<Posting>* out);
 
 }  // namespace stburst
 

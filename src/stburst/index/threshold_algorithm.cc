@@ -42,9 +42,16 @@ TopKResult ThresholdTopK(const InvertedIndex& index,
   std::vector<TermId> terms = DedupeQuery(query);
   if (terms.empty()) return result;
 
+  // Resolve each term's frozen list once: random accesses then go straight
+  // to its binary search.
+  std::vector<const TermList*> term_lists;
   std::vector<const std::vector<Posting>*> lists;
+  term_lists.reserve(terms.size());
   lists.reserve(terms.size());
-  for (TermId t : terms) lists.push_back(&index.postings(t));
+  for (TermId t : terms) {
+    term_lists.push_back(index.list(t));
+    lists.push_back(&index.postings(t));
+  }
 
   std::vector<size_t> pos(lists.size(), 0);
   std::unordered_map<DocId, double> candidates;
@@ -82,7 +89,9 @@ TopKResult ThresholdTopK(const InvertedIndex& index,
           s = p.score;
         } else {
           ++result.random_accesses;
-          if (!index.Score(terms[j], p.doc, &s)) s = 0.0;
+          if (term_lists[j] == nullptr || !term_lists[j]->Score(p.doc, &s)) {
+            s = 0.0;
+          }
         }
         total += s;
       }
@@ -97,7 +106,9 @@ TopKResult ThresholdTopK(const InvertedIndex& index,
     for (size_t i = 0; i < lists.size(); ++i) {
       if (pos[i] < lists[i]->size()) threshold += (*lists[i])[pos[i]].score;
     }
-    if (best_k.size() == k && best_k.top() >= threshold) {
+    // Strictly greater: an unseen document can still tie the k-th score
+    // when it equals the threshold, and a smaller DocId then wins the tie.
+    if (best_k.size() == k && best_k.top() > threshold) {
       result.early_terminated = true;
       break;
     }
@@ -118,11 +129,15 @@ TopKResult ShardedThresholdTopK(const std::vector<ShardedTermList>& lists,
   if (k == 0 || lists.empty()) return result;
 
   static const std::vector<Posting> kNoPostings;
+  std::vector<const TermList*> term_lists;
   std::vector<const std::vector<Posting>*> postings;
+  term_lists.reserve(lists.size());
   postings.reserve(lists.size());
   for (const ShardedTermList& l : lists) {
-    postings.push_back(l.index != nullptr ? &l.index->postings(l.term)
-                                          : &kNoPostings);
+    term_lists.push_back(l.index != nullptr ? l.index->list(l.term) : nullptr);
+    postings.push_back(term_lists.back() != nullptr
+                           ? &term_lists.back()->by_score()
+                           : &kNoPostings);
   }
 
   // Global id of a shard-local posting: O(1) through the ascending doc map.
@@ -185,8 +200,8 @@ TopKResult ShardedThresholdTopK(const std::vector<ShardedTermList>& lists,
         } else {
           ++result.random_accesses;
           DocId local = 0;
-          if (!to_local(j, global, &local) || lists[j].index == nullptr ||
-              !lists[j].index->Score(lists[j].term, local, &s)) {
+          if (term_lists[j] == nullptr || !to_local(j, global, &local) ||
+              !term_lists[j]->Score(local, &s)) {
             s = 0.0;
           }
         }
@@ -203,7 +218,9 @@ TopKResult ShardedThresholdTopK(const std::vector<ShardedTermList>& lists,
         threshold += (*postings[i])[pos[i]].score;
       }
     }
-    if (best_k.size() == k && best_k.top() >= threshold) {
+    // Strictly greater: an unseen document can still tie the k-th score
+    // when it equals the threshold, and a smaller DocId then wins the tie.
+    if (best_k.size() == k && best_k.top() > threshold) {
       result.early_terminated = true;
       break;
     }

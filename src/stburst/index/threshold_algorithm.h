@@ -4,8 +4,11 @@
 // The aggregate is the sum of per-term scores; documents missing from a
 // term's list contribute 0 for that term. TA scans the query terms' lists
 // in parallel depth order, random-accesses each newly seen document's
-// remaining scores, and stops as soon as the k-th best complete score is at
-// least the threshold (the sum of the scores at the current scan depths).
+// remaining scores, and stops as soon as the k-th best complete score
+// exceeds the threshold (the sum of the scores at the current scan depths).
+// The comparison is strict so that an unseen document tied at the k-th score
+// is still read: ties resolve by ascending DocId, exactly as in an
+// exhaustive merge.
 
 #ifndef STBURST_INDEX_THRESHOLD_ALGORITHM_H_
 #define STBURST_INDEX_THRESHOLD_ALGORITHM_H_
@@ -35,8 +38,8 @@ struct TopKResult {
   size_t random_accesses = 0;
   bool early_terminated = false;  // stopped before exhausting the lists
   /// InvertedIndex::generation() at computation time. A cached result is
-  /// stale — and must be recomputed — once it differs from the index's
-  /// current generation (the index was reopened, fed, and re-finalized).
+  /// stale — and must be recomputed — once it differs from the generation
+  /// currently served (a successor index replaced the one it came from).
   uint64_t generation = 0;
 };
 

@@ -78,10 +78,10 @@ struct EvictionReport {
   /// True when the evicted documents were exactly the id-prefix
   /// [old base, new base) and every surviving document kept its id — the
   /// time-ordered fast path every Append-driven feed takes. A DocId-keyed
-  /// index then only drops entries with doc < doc_id_base, in place
-  /// (InvertedIndex::EvictBefore). False means survivors were renumbered
-  /// densely (out-of-order historical ingest): previously handed-out ids
-  /// are meaningless and DocId-keyed state must rebuild.
+  /// consumer then only drops entries with doc < doc_id_base (FeedRuntime's
+  /// doc-level search postings trim that prefix). False means survivors
+  /// were renumbered densely (out-of-order historical ingest): previously
+  /// handed-out ids are meaningless and DocId-keyed state must rebuild.
   bool ids_preserved = false;
 };
 

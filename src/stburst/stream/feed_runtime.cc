@@ -26,7 +26,9 @@ const TermPatterns kEmptyPatterns;
 // publishing staged state — past that point rollback is impossible and a
 // failure wedges the runtime instead. The search read plane needs no undo
 // entry at all: its next generation is built entirely off to the side and
-// an unpublished IndexSnapshot is simply dropped.
+// an unpublished IndexSnapshot is simply dropped. Its doc-level postings
+// need only the append: eviction trims them in the commit tail, and a
+// renumbering rebuild is staged.
 struct FeedRuntime::FeedTickUndo {
   Timestamp old_timeline = 0;
   size_t old_num_documents = 0;
@@ -38,6 +40,7 @@ struct FeedRuntime::FeedTickUndo {
   bool collection_evicted = false;
   bool freq_evicted = false;
   bool history_folded = false;
+  bool doc_postings_appended = false;
   bool bookkeeping_resized = false;
   bool committing = false;
   CollectionEvictUndo collection_undo;
@@ -45,6 +48,8 @@ struct FeedRuntime::FeedTickUndo {
   ColdFoldUndo history_undo;
   size_t old_result_terms = 0;
   size_t old_bookkeeping_terms = 0;
+  DocId first_appended_doc = 0;     // ids >= this were appended this tick
+  size_t old_doc_posting_terms = 0;
 };
 
 // Everything one in-flight tick stages between PrepareTickIngest and
@@ -62,8 +67,12 @@ struct FeedRuntime::TickTransaction::Impl {
   std::vector<TermId> refresh_todo;
   std::vector<TermPatterns> staged_refresh;
   std::vector<TermId> score_terms;
-  std::vector<std::vector<Posting>> staged_postings;
+  std::vector<std::shared_ptr<const TermList>> staged_lists;
   std::vector<TermId> deferred_next;
+  // Doc-level postings rebuilt after a renumbering eviction; swapped in at
+  // commit.
+  std::vector<std::vector<DocCount>> rebuilt_doc_postings;
+  bool doc_postings_rebuilt = false;
   std::shared_ptr<IndexSnapshot> next_snapshot;
   bool touch_search = false;
 };
@@ -214,19 +223,22 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
   }
 
   // Initial search snapshot (generation 1): retention was already applied
-  // above, so the postings cover exactly the retained window and every
-  // DocId is live. Scored across the pool like every later tick.
+  // above, so the doc-level postings and the search postings scored from
+  // them cover exactly the retained window and every DocId is live. Scored
+  // across the pool like every later tick.
   if (runtime.options_.search_serving != SearchServing::kNone) {
+    AppendDocPostings(runtime.collection_, runtime.collection_.doc_id_base(),
+                      &runtime.doc_postings_);
     std::vector<TermId> all(runtime.index_.num_terms());
     for (size_t t = 0; t < all.size(); ++t) all[t] = static_cast<TermId>(t);
-    std::vector<std::vector<Posting>> staged = runtime.StageSearchPostings(
-        all,
-        [&](TermId term) -> const TermPatterns& { return runtime.patterns(term); });
+    std::vector<std::shared_ptr<const TermList>> lists =
+        runtime.StageSearchPostings(
+            all, runtime.doc_postings_,
+            [&](TermId term) -> const TermPatterns& {
+              return runtime.patterns(term);
+            });
     auto first = std::make_shared<IndexSnapshot>();
-    for (size_t i = 0; i < all.size(); ++i) {
-      first->index.ReplaceTerm(all[i], std::move(staged[i]));
-    }
-    first->index.Finalize();
+    first->index = InvertedIndex().Successor(all, std::move(lists));
     first->generation = first->index.generation();
     first->window_start = runtime.index_.window_start();
     first->doc_id_base = runtime.collection_.doc_id_base();
@@ -397,6 +409,17 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
   undo->index_appended = true;
   STB_RETURN_NOT_OK(index_.AppendSnapshot(collection_, pool_));
 
+  // Search serving scores from doc-level postings: the appended ids extend
+  // each touched term's list at its tail, which is all a rollback removes.
+  if (options_.search_serving != SearchServing::kNone) {
+    undo->first_appended_doc =
+        collection_.doc_id_base() +
+        static_cast<DocId>(undo->old_num_documents);
+    undo->old_doc_posting_terms = doc_postings_.size();
+    undo->doc_postings_appended = true;
+    AppendDocPostings(collection_, undo->first_appended_doc, &doc_postings_);
+  }
+
   const Timestamp window = options_.retention_window;
   if (window > 0 && collection_.timeline_length() > window) {
     const Timestamp cutoff = collection_.timeline_length() - window;
@@ -425,9 +448,9 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
 
   // ---- staged dirty re-mine: into buffers, publish nothing ----
   // Terms with appended or evicted postings: their slots are wrong until
-  // re-mined. Quiet terms' slots stay exact under the sliding window —
-  // their windowed series content is unchanged and timeframes are absolute
-  // (the retention contract).
+  // re-mined. Quiet terms keep their slots under the sliding window — their
+  // windowed series content is unchanged and timeframes are absolute, so a
+  // re-mine could differ only by rounding (the retention contract).
   std::vector<TermId> dirty = index_.TakeDirtyTerms();
   STBURST_FAULT_POINT("runtime.remine");
   STB_ASSIGN_OR_RETURN(
@@ -463,9 +486,13 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
     // The score set: this tick's re-mined terms, plus any scoring a
     // previous degraded tick deferred — or every term after a renumbering
     // eviction (out-of-order historical ingest; never an Append-driven
-    // feed), when every standing DocId went stale at once.
+    // feed), when every standing DocId went stale at once and the doc-level
+    // postings rebuild from the collection.
     std::vector<TermId> want;
     if (rebuild_all) {
+      tx->doc_postings_rebuilt = true;
+      AppendDocPostings(collection_, collection_.doc_id_base(),
+                        &tx->rebuilt_doc_postings);
       want.resize(index_.num_terms());
       for (size_t t = 0; t < want.size(); ++t) {
         want[t] = static_cast<TermId>(t);
@@ -508,37 +535,62 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
         return kEmptyPatterns;
       };
       tx->score_terms = std::move(want);
-      tx->staged_postings = StageSearchPostings(tx->score_terms, slot_for);
+      tx->staged_lists = StageSearchPostings(
+          tx->score_terms,
+          rebuild_all ? tx->rebuilt_doc_postings : doc_postings_, slot_for);
     }
   }
 
   // ---- staged snapshot build: the next read-plane generation, entirely
-  // off to the side. A private copy of the published index goes through the
-  // incremental fast path (Reopen → EvictBefore → ReplaceTerm → Finalize);
-  // readers keep loading the current snapshot untouched, and on any failure
-  // up to and including the runtime.publish fault point the half-built
-  // successor is simply dropped — no undo entry needed.
+  // off to the side. It shares every frozen term list of the published
+  // generation except the ones this tick replaces; readers keep loading the
+  // current snapshot untouched, and on any failure up to and including the
+  // runtime.publish fault point the half-built successor is simply dropped
+  // — no undo entry needed.
   tx->touch_search =
       search && (stats->evicted || !tx->score_terms.empty());
   if (tx->touch_search) {
     const std::shared_ptr<const IndexSnapshot> current =
         search_snapshot_.Load();
+    const DocId base = collection_.doc_id_base();
+    std::vector<TermId> terms = tx->score_terms;
+    std::vector<std::shared_ptr<const TermList>> lists =
+        std::move(tx->staged_lists);
+    if (stats->evicted && !rebuild_all) {
+      // Dirty terms carry all eviction: a term with a posting on an evicted
+      // document had a frequency posting at an evicted timestamp, so
+      // FrequencyIndex::EvictBefore dirtied it and it is re-scored above —
+      // unless a degraded tick deferred it. Only those deferred terms need
+      // their evicted postings dropped from the standing list.
+      for (TermId t : tx->deferred_next) {
+        const TermList* list = current->index.list(t);
+        if (list != nullptr && list->min_doc() < base) {
+          terms.push_back(t);
+          lists.push_back(list->DropBefore(base));
+        }
+      }
+    }
+#ifndef NDEBUG
+    if (stats->evicted) {
+      for (TermId t = 0; t < current->index.num_terms(); ++t) {
+        const TermList* list = current->index.list(t);
+        if (list == nullptr || list->min_doc() >= base) continue;
+        STB_DCHECK(std::binary_search(tx->score_terms.begin(),
+                                      tx->score_terms.end(), t) ||
+                   std::binary_search(tx->deferred_next.begin(),
+                                      tx->deferred_next.end(), t))
+            << "term " << t << " holds an evicted search posting but is "
+            << "neither re-scored nor deferred";
+      }
+    }
+#endif
     tx->next_snapshot = std::make_shared<IndexSnapshot>();
-    tx->next_snapshot->index = current->index;
-    tx->next_snapshot->index.Reopen();
-    if (stats->evicted && tx->eviction.ids_preserved) {
-      tx->next_snapshot->index.EvictBefore(tx->eviction.doc_id_base);
-    }
-    for (size_t i = 0; i < tx->score_terms.size(); ++i) {
-      tx->next_snapshot->index.ReplaceTerm(tx->score_terms[i],
-                                           std::move(tx->staged_postings[i]));
-    }
-    // The copy carried the published generation, so this Finalize lands on
-    // exactly generation + 1: one bump per editing tick, as before.
-    tx->next_snapshot->index.Finalize();
+    // One generation bump per editing tick, as before.
+    tx->next_snapshot->index =
+        current->index.Successor(terms, std::move(lists));
     tx->next_snapshot->generation = tx->next_snapshot->index.generation();
     tx->next_snapshot->window_start = index_.window_start();
-    tx->next_snapshot->doc_id_base = collection_.doc_id_base();
+    tx->next_snapshot->doc_id_base = base;
     STBURST_FAULT_POINT("runtime.publish");
   }
   return Status::OK();
@@ -608,6 +660,23 @@ Status FeedRuntime::CommitGuarded(TickTransaction::Impl* tx) {
   }
   deferred_search_terms_ = std::move(tx->deferred_next);
 
+  // Doc-level postings follow the eviction: a renumbering one swaps in the
+  // staged rebuild; an id-preserving one trims each list's evicted prefix
+  // (erasing trivially copyable elements cannot throw).
+  if (tx->doc_postings_rebuilt) {
+    doc_postings_ = std::move(tx->rebuilt_doc_postings);
+  } else if (stats->evicted && !doc_postings_.empty()) {
+    const DocId base = collection_.doc_id_base();
+    for (std::vector<DocCount>& list : doc_postings_) {
+      if (list.empty() || list.front().doc >= base) continue;
+      list.erase(list.begin(),
+                 std::lower_bound(list.begin(), list.end(), base,
+                                  [](const DocCount& e, DocId doc) {
+                                    return e.doc < doc;
+                                  }));
+    }
+  }
+
   // Cold-tier checkpoint (kMmap): persist the folded generation. Publish
   // failure is deliberately non-wedging — the in-memory tier is already
   // correct and the on-disk file is a checkpoint that lags until the next
@@ -649,6 +718,17 @@ void FeedRuntime::RollbackTick(FeedTickUndo* undo) {
   if (undo->history_folded && history_ != nullptr) {
     history_->RollbackFold(std::move(undo->history_undo));
   }
+  if (undo->doc_postings_appended) {
+    for (std::vector<DocCount>& list : doc_postings_) {
+      while (!list.empty() && list.back().doc >= undo->first_appended_doc) {
+        list.pop_back();
+      }
+    }
+    doc_postings_.erase(
+        doc_postings_.begin() +
+            static_cast<ptrdiff_t>(undo->old_doc_posting_terms),
+        doc_postings_.end());
+  }
   if (undo->freq_evicted) index_.RollbackEvict(std::move(undo->freq_undo));
   if (undo->collection_evicted) {
     collection_.RollbackEvict(std::move(undo->collection_undo));
@@ -673,10 +753,10 @@ std::vector<RefreshCandidate> FeedRuntime::RefreshCandidates(
   // drifted — the window length changed since its last mine. On a
   // length-preserving steady-state slide its windowed series content and
   // absolute timeframes are unchanged (retention contract), so a re-mine
-  // would be a bit-identical no-op; skipping it drains the sweep to zero
-  // once the window is full. Sub-threshold terms never qualify either: the
-  // miner would skip them anyway, and cycling them through the budget
-  // would starve real work.
+  // could differ only by rounding at the new window offset; skipping it
+  // drains the sweep to zero once the window is full. Sub-threshold terms
+  // never qualify either: the miner would skip them anyway, and cycling
+  // them through the budget would starve real work.
   const std::vector<TermId>& exclude = tx.impl_->dirty_todo;
   const Timestamp now = collection_.timeline_length();
   const Timestamp window = index_.window_length();
@@ -717,7 +797,8 @@ std::vector<TermId> FeedRuntime::SelectRefreshTargets(
   return targets;
 }
 
-void FeedRuntime::ScoreSearchTerm(TermId term, const TermPatterns& slot,
+void FeedRuntime::ScoreSearchTerm(const TermPatterns& slot,
+                                  std::span<const DocCount> docs,
                                   std::vector<TermPattern>* scratch,
                                   std::vector<Posting>* out) const {
   scratch->clear();
@@ -736,24 +817,41 @@ void FeedRuntime::ScoreSearchTerm(TermId term, const TermPatterns& slot,
   for (TermPattern& p : *scratch) {
     std::sort(p.streams.begin(), p.streams.end());
   }
-  ScoreTermDocuments(collection_, index_, term, *scratch, out);
+  // The list may still hold an evicted prefix (trimmed at commit): score
+  // only the retained documents.
+  const auto live = std::lower_bound(
+      docs.begin(), docs.end(), collection_.doc_id_base(),
+      [](const DocCount& e, DocId doc) { return e.doc < doc; });
+  ScoreDocPostings(collection_, docs.subspan(live - docs.begin()), *scratch,
+                   out);
 }
 
-std::vector<std::vector<Posting>> FeedRuntime::StageSearchPostings(
+std::vector<std::shared_ptr<const TermList>> FeedRuntime::StageSearchPostings(
     const std::vector<TermId>& terms,
+    const std::vector<std::vector<DocCount>>& doc_postings,
     const std::function<const TermPatterns&(TermId)>& slot_for) const {
-  // Sharded across the standing pool: per-worker pattern scratch (the
-  // calling thread takes the highest worker id), results into
-  // index-addressed slots — schedule-independent output at any thread
-  // count. Reads only frozen state (collection, frequency index, standing
-  // + staged slots), so workers share it without synchronization.
-  std::vector<std::vector<Posting>> staged(terms.size());
+  // Sharded across the standing pool: per-worker scratch (the calling
+  // thread takes the highest worker id), each term scored and frozen —
+  // sorted into its TermList — on its worker, results into index-addressed
+  // slots: schedule-independent output at any thread count. Reads only
+  // frozen state (collection, doc-level postings, standing + staged slots),
+  // so workers share it without synchronization.
+  std::vector<std::shared_ptr<const TermList>> staged(terms.size());
   const size_t workers = pool_ != nullptr ? pool_->num_threads() + 1 : 1;
-  std::vector<std::vector<TermPattern>> scratch(workers);
+  std::vector<std::vector<TermPattern>> pattern_scratch(workers);
+  std::vector<std::vector<Posting>> posting_scratch(workers);
   ParallelFor(pool_, 0, terms.size(), [&](size_t worker, size_t i) {
     STBURST_FAULT_POINT_THROW("runtime.search_update");
-    ScoreSearchTerm(terms[i], slot_for(terms[i]), &scratch[worker],
-                    &staged[i]);
+    const TermId term = terms[i];
+    if (term >= doc_postings.size()) return;
+    std::vector<Posting>& scored = posting_scratch[worker];
+    scored.clear();
+    ScoreSearchTerm(slot_for(term), doc_postings[term],
+                    &pattern_scratch[worker], &scored);
+    // An exact-size copy: the frozen list keeps its buffer for as long as
+    // any generation shares it.
+    staged[i] = TermList::Freeze(
+        std::vector<Posting>(scored.begin(), scored.end()));
   });
   return staged;
 }

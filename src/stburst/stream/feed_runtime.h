@@ -21,10 +21,11 @@
 //                                         under the per-tick budget
 //     6. search snapshot build + publish  [optional] the next read-plane
 //                                         generation, built off to the side
-//                                         on a private copy of the current
-//                                         index (per-term re-scoring fanned
-//                                         across the pool) and published to
-//                                         readers with one atomic swap
+//                                         (the re-mined terms re-scored and
+//                                         frozen across the pool, every
+//                                         other term list shared with the
+//                                         current generation) and published
+//                                         to readers with one atomic swap
 //
 // Every tick is transactional (the failure and recovery contract in
 // docs/ARCHITECTURE.md): steps 4–6 mine, score, and build into staging
@@ -56,6 +57,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,7 @@
 #include "stburst/index/inverted_index.h"
 #include "stburst/index/pattern_index.h"
 #include "stburst/index/query_cache.h"
+#include "stburst/index/search_engine.h"
 #include "stburst/index/threshold_algorithm.h"
 #include "stburst/stream/collection.h"
 #include "stburst/stream/frequency.h"
@@ -156,12 +159,12 @@ struct FeedRuntimeOptions {
 
   /// Maintain a bursty-document search read plane (paper §5) over the
   /// standing result. Each tick that changes search state builds the next
-  /// immutable IndexSnapshot off to the side — a private copy of the
-  /// current index, edited on the incremental fast path (evicted
-  /// documents' postings dropped, exactly the terms re-mined this tick
-  /// re-derived) — and publishes it with one atomic swap; Search() is
-  /// always window-consistent with result() (tested: equal to a
-  /// from-scratch BurstySearchEngine build over the retained collection
+  /// immutable IndexSnapshot off to the side — sharing every frozen term
+  /// list of the current one except those of the terms re-mined this tick,
+  /// which are re-scored from doc-level postings (terms that lost evicted
+  /// documents are among them) — and publishes it with one atomic swap;
+  /// Search() is always window-consistent with result() (tested: equal to
+  /// a from-scratch BurstySearchEngine build over the retained collection
   /// and standing patterns). Readers hold snapshots across ticks without
   /// blocking either side; each published generation bumps
   /// search_snapshot()->generation by one.
@@ -181,8 +184,9 @@ struct FeedRuntimeOptions {
   /// the smaller TermId). Only terms whose burstiness normalization
   /// actually drifted qualify — i.e. the retained window length changed
   /// since their last mine; on a length-preserving steady-state slide a
-  /// quiet term's slot is provably identical, so the sweep drains to zero
-  /// instead of re-mining no-ops forever. Counted in terms, not wall
+  /// quiet term's windowed data is unchanged (a re-mine could differ only
+  /// by rounding at the new window offset), so the sweep drains to zero
+  /// instead of chasing rounding forever. Counted in terms, not wall
   /// clock, so the sweep is deterministic at any thread count. 0 disables
   /// the sweep (quiet slots keep the PR-2 staleness contract
   /// indefinitely).
@@ -446,19 +450,23 @@ class FeedRuntime {
   /// the tick's mutations). No-throw.
   void RollbackTick(FeedTickUndo* undo);
 
-  /// Scores `term`'s retained documents against `slot`, appending the
-  /// positive search postings to `out`. Const and scratch-parameterized so
-  /// StageSearchPostings can run it on pool workers.
-  void ScoreSearchTerm(TermId term, const TermPatterns& slot,
+  /// Scores one term's retained doc-level postings `docs` against `slot`,
+  /// appending the positive search postings to `out` in DocId order. Const
+  /// and scratch-parameterized so StageSearchPostings can run it on pool
+  /// workers.
+  void ScoreSearchTerm(const TermPatterns& slot,
+                       std::span<const DocCount> docs,
                        std::vector<TermPattern>* scratch,
                        std::vector<Posting>* out) const;
 
-  /// Scores every term in `terms` (slot via `slot_for`) across the
-  /// standing pool into index-addressed result slots — deterministic at
-  /// any thread count. The staging half of the search update; the builder
-  /// commits each list with InvertedIndex::ReplaceTerm.
-  std::vector<std::vector<Posting>> StageSearchPostings(
+  /// Scores every term in `terms` (slot via `slot_for`, documents from
+  /// `doc_postings`) across the standing pool and freezes each result into
+  /// its TermList on the same worker — index-addressed slots, deterministic
+  /// at any thread count. The staging half of the search update; the
+  /// snapshot build swaps the lists in with InvertedIndex::Successor.
+  std::vector<std::shared_ptr<const TermList>> StageSearchPostings(
       const std::vector<TermId>& terms,
+      const std::vector<std::vector<DocCount>>& doc_postings,
       const std::function<const TermPatterns&(TermId)>& slot_for) const;
 
   FeedRuntimeOptions options_;
@@ -486,6 +494,13 @@ class FeedRuntime {
   PublishedPtr<IndexSnapshot> search_snapshot_;
   std::unique_ptr<QueryResultCache> search_cache_;
   Tokenizer tokenizer_;
+  // Doc-level postings the search scoring walks (search serving only):
+  // per TermId, one (DocId, count) entry per retained document carrying
+  // the term, in DocId order. Appended at ingest (a rollback truncates the
+  // appended ids), prefix-trimmed in the commit tail of an evicting tick,
+  // rebuilt from the collection after a renumbering eviction. Kept out of
+  // FrequencyIndex and Collection so mining-only paths never pay for them.
+  std::vector<std::vector<DocCount>> doc_postings_;
   // Per-term bookkeeping for the refresh policy, indexed by TermId.
   std::vector<Timestamp> last_mined_;   // timeline length at last (re-)mine
   std::vector<Timestamp> last_window_;  // window length at last (re-)mine

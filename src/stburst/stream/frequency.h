@@ -208,11 +208,15 @@ class FrequencyIndex {
   /// content is unchanged, and patterns are reported in absolute timestamps,
   /// so on a length-preserving window slide (evicting as many timestamps as
   /// were appended since the slot was mined — FeedRuntime's steady state)
-  /// their standing results remain exact. An eviction that shrinks the net
-  /// window length shifts the burstiness baseline 1/N for every term, so
-  /// untouched quiet slots then carry the standard staleness drift until
-  /// re-mined (see the retention contract in docs/ARCHITECTURE.md); re-mine
-  /// the full vocabulary after first applying a window to deep history.
+  /// their standing results are those of the same data. They are exact only
+  /// up to rounding: a fresh mine computes the burstiness at a different
+  /// window offset, which can round differently and flip a near-tie (see
+  /// retention rule 1 in docs/ARCHITECTURE.md). An eviction that shrinks
+  /// the net window length shifts the burstiness baseline 1/N for every
+  /// term, so untouched quiet slots then carry the standard staleness drift
+  /// until re-mined (see the retention contract in docs/ARCHITECTURE.md);
+  /// re-mine the full vocabulary after first applying a window to deep
+  /// history.
   ///
   /// `pool`: when non-null the per-term scan is fanned across the pool;
   /// output is identical with or without it. cutoff <= window_start() is a

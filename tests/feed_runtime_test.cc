@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "index_test_util.h"
+#include "stburst/common/fault_injection.h"
 #include "stburst/common/random.h"
 #include "stburst/core/expected.h"
 #include "stburst/index/search_engine.h"
@@ -108,6 +109,43 @@ void ExpectIdenticalPostings(const FrequencyIndex& a, const FrequencyIndex& b) {
       EXPECT_EQ(pa[i].stream, pb[i].stream);
       EXPECT_EQ(pa[i].time, pb[i].time);
       EXPECT_EQ(pa[i].count, pb[i].count);
+    }
+  }
+}
+
+// A seed whose first two timestamps carry a burst of terms 0..2 on streams
+// 0 and 1 over a background of every term on every stream: STComb mines
+// patterns for the burst terms that reach back to the oldest timestamps, so
+// the search snapshot holds postings on the documents evicted first.
+Collection MakeBurstySeed(size_t num_streams, Timestamp timeline,
+                          size_t vocab) {
+  Collection seed = MakeSeedCollection(num_streams, timeline, vocab);
+  for (Timestamp t = 0; t < timeline; ++t) {
+    for (StreamId s = 0; s < num_streams; ++s) {
+      std::vector<TermId> tokens;
+      for (TermId term = 0; term < vocab; ++term) tokens.push_back(term);
+      if (t < 2 && s < 2) {
+        for (int r = 0; r < 6; ++r) {
+          for (TermId term = 0; term < 3; ++term) tokens.push_back(term);
+        }
+      }
+      EXPECT_TRUE(seed.AddDocument(s, t, std::move(tokens)).ok());
+    }
+  }
+  return seed;
+}
+
+// Every posting of a published snapshot names a live document of
+// `collection`, and the snapshot's doc_id_base is the collection's.
+void ExpectOnlyLivePostings(const IndexSnapshot& snapshot,
+                            const Collection& collection) {
+  EXPECT_EQ(snapshot.doc_id_base, collection.doc_id_base());
+  const DocId end =
+      collection.doc_id_base() + static_cast<DocId>(collection.num_documents());
+  for (TermId t = 0; t < snapshot.index.num_terms(); ++t) {
+    for (const Posting& p : snapshot.index.postings(t)) {
+      EXPECT_GE(p.doc, snapshot.doc_id_base) << "term " << t;
+      EXPECT_LT(p.doc, end) << "term " << t;
     }
   }
 }
@@ -704,6 +742,205 @@ TEST(FeedRuntimeDeadline, LadderShedsRefreshThenDefersSearch) {
   ExpectIdenticalIndexes(
       *runtime->search_index(),
       RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial));
+}
+
+TEST(FeedRuntimeDeadline, DegradedEvictingTickPublishesNoEvictedPostings) {
+  // A degraded tick defers re-scoring, but its eviction still publishes: the
+  // deferred terms — every term holding a posting on an evicted document —
+  // are served from copies without those postings. The next tick with
+  // headroom scores them and is back at full-rebuild parity.
+  constexpr size_t kStreams = 3;
+  constexpr size_t kVocab = 8;
+  FeedRuntimeOptions opts = BaseOptions(1);
+  opts.retention_window = 4;
+  opts.search_serving = SearchServing::kCombinatorial;
+  opts.tick_deadline_seconds = 1.0;
+  // The scripted clock of LadderShedsRefreshThenDefersSearch: only the
+  // first tick is over deadline.
+  auto calls = std::make_shared<int>(0);
+  opts.clock = [calls]() { return (*calls)++ == 0 ? 0.0 : 100.0; };
+  auto runtime =
+      FeedRuntime::Create(MakeBurstySeed(kStreams, 4, kVocab), opts);
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  const std::shared_ptr<const IndexSnapshot> before =
+      runtime->search_snapshot();
+
+  Snapshot snap;
+  snap.push_back(SnapshotDocument{2, {TermId{3}}});
+  auto degraded = runtime->Tick(std::move(snap));
+  ASSERT_TRUE(degraded.ok()) << degraded.status().ToString();
+  EXPECT_TRUE(degraded->degraded);
+  EXPECT_TRUE(degraded->evicted);
+  EXPECT_EQ(degraded->search_terms, 0u);
+
+  const std::shared_ptr<const IndexSnapshot> after =
+      runtime->search_snapshot();
+  EXPECT_EQ(after->generation, before->generation + 1);
+  const DocId base = runtime->collection().doc_id_base();
+  // Not vacuous: the previous generation did hold evicted postings.
+  bool held_evicted = false;
+  for (TermId t = 0; t < before->index.num_terms(); ++t) {
+    const TermList* list = before->index.list(t);
+    held_evicted |= list != nullptr && list->min_doc() < base;
+  }
+  ASSERT_TRUE(held_evicted);
+  ExpectOnlyLivePostings(*after, runtime->collection());
+
+  auto catchup = runtime->Tick(Snapshot{});
+  ASSERT_TRUE(catchup.ok()) << catchup.status().ToString();
+  EXPECT_FALSE(catchup->degraded);
+  ExpectOnlyLivePostings(*runtime->search_snapshot(), runtime->collection());
+  ExpectIdenticalIndexes(
+      *runtime->search_index(),
+      RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial));
+}
+
+TEST(FeedRuntime, UnscoredTermsShareListStorageAcrossGenerations) {
+  // The O(changed) property of snapshot builds: a tick that re-scores one
+  // term hands every other term's frozen list — the same storage — to the
+  // next generation.
+  constexpr size_t kStreams = 3;
+  constexpr size_t kVocab = 8;
+  FeedRuntimeOptions opts = BaseOptions(1);
+  opts.search_serving = SearchServing::kCombinatorial;
+  auto runtime =
+      FeedRuntime::Create(MakeBurstySeed(kStreams, 4, kVocab), opts);
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+  const std::shared_ptr<const IndexSnapshot> before =
+      runtime->search_snapshot();
+  ASSERT_NE(before->index.list(1), nullptr);
+
+  constexpr TermId kTouched = 5;
+  Snapshot snap;
+  snap.push_back(SnapshotDocument{2, {kTouched}});
+  auto stats = runtime->Tick(std::move(snap));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_EQ(stats->dirty_terms, 1u);
+  EXPECT_EQ(stats->search_terms, 1u);
+
+  const std::shared_ptr<const IndexSnapshot> after =
+      runtime->search_snapshot();
+  EXPECT_EQ(after->generation, before->generation + 1);
+  for (TermId t = 0; t < kVocab; ++t) {
+    if (t == kTouched) continue;
+    EXPECT_EQ(after->index.list(t), before->index.list(t)) << "term " << t;
+    EXPECT_EQ(after->index.postings(t).data(),
+              before->index.postings(t).data())
+        << "term " << t;
+  }
+  ExpectIdenticalIndexes(
+      after->index,
+      RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial));
+}
+
+TEST(FeedRuntimeSearchOracle,
+     RandomTicksWithEvictionsAndDegradationMatchEngine) {
+  // The randomized oracle for the search read plane: random feeds through
+  // evicting ticks — id-preserving, or renumbering after an out-of-order
+  // seed — degraded ticks that defer re-scoring, refresh sweeps and, in the
+  // fault build, armed faults. After every tick the published snapshot
+  // serves only live documents; after every tick that deferred nothing it
+  // equals a from-scratch BurstySearchEngine over the retained collection
+  // and standing patterns, and so do TA answers, access counts included.
+  constexpr size_t kStreams = 4;
+  constexpr size_t kVocab = 30;
+  size_t degraded_evicting = 0;
+  size_t checked = 0;
+#ifdef STBURST_FAULT_INJECTION
+  size_t rolled_back = 0;
+#endif
+  for (int trial = 0; trial < 6; ++trial) {
+    Rng rng(900 + static_cast<uint64_t>(trial));
+    FeedRuntimeOptions opts = BaseOptions(trial % 2 == 0 ? 1 : 3);
+    opts.retention_window = 3 + trial % 3;
+    opts.refresh_budget = trial % 2 == 0 ? 0 : 3;
+    opts.search_serving = SearchServing::kCombinatorial;
+    opts.tick_deadline_seconds = 1.0;
+    // Scripted clock: while `degrade` is set, every read is 10 s past the
+    // previous one, so the tick is over deadline at every check.
+    auto degrade = std::make_shared<bool>(false);
+    auto now = std::make_shared<double>(0.0);
+    opts.clock = [degrade, now]() {
+      if (*degrade) *now += 10.0;
+      return *now;
+    };
+    Collection seed = MakeSeedCollection(kStreams, 2, kVocab);
+    // Every third trial files a t=1 document before the t=0 ones: the
+    // collection is then out of time order, and every eviction renumbers.
+    if (trial % 3 == 2) {
+      ASSERT_TRUE(seed.AddDocument(0, 1, {TermId{1}, TermId{2}}).ok());
+    }
+    for (StreamId s = 0; s < kStreams; ++s) {
+      ASSERT_TRUE(seed.AddDocument(s, 0, {TermId{0}, TermId{s}}).ok());
+    }
+    auto runtime = FeedRuntime::Create(std::move(seed), opts);
+    ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+
+    for (int tick = 0; tick < 30; ++tick) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << " tick " << tick);
+      const Snapshot snap = MakeSnapshot(rng, kStreams, kVocab);
+      *degrade = rng.Bernoulli(0.3);
+      bool ticked = false;
+      StatusOr<FeedTickStats> stats = Status::Internal("not ticked");
+#ifdef STBURST_FAULT_INJECTION
+      const std::vector<std::string_view> sites = fault::RegisteredSites();
+      const std::string_view site = sites[rng.NextUint64(sites.size())];
+      if (rng.Bernoulli(0.3) && site != "sharded.commit") {
+        const std::shared_ptr<const IndexSnapshot> held =
+            runtime->search_snapshot();
+        const size_t docs = runtime->collection().num_documents();
+        fault::Arm(site, 1,
+                   rng.Bernoulli(0.5) ? fault::FailureKind::kStatus
+                                      : fault::FailureKind::kBadAlloc);
+        stats = runtime->Tick(Snapshot(snap));
+        const size_t hits = fault::HitCount(site);
+        fault::DisarmAll();
+        if (hits > 0) {
+          // Rolled back: readers stay on the very same snapshot object.
+          ASSERT_FALSE(stats.ok()) << "site " << site;
+          EXPECT_EQ(runtime->search_snapshot(), held) << "site " << site;
+          EXPECT_EQ(runtime->collection().num_documents(), docs);
+          ++rolled_back;
+        } else {
+          ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+          ticked = true;  // the site is not on this tick's path
+        }
+      }
+#endif
+      if (!ticked) stats = runtime->Tick(Snapshot(snap));
+      ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+      ExpectOnlyLivePostings(*runtime->search_snapshot(),
+                             runtime->collection());
+      if (stats->degraded && stats->evicted) ++degraded_evicting;
+      if (stats->degraded) continue;  // deferred terms lag until caught up
+
+      const InvertedIndex reference =
+          RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial);
+      ExpectIdenticalIndexes(*runtime->search_index(), reference);
+      for (int q = 0; q < 4; ++q) {
+        std::vector<TermId> query;
+        const size_t terms = 1 + rng.NextUint64(3);
+        for (size_t i = 0; i < terms; ++i) {
+          query.push_back(static_cast<TermId>(rng.NextUint64(kVocab / 3)));
+        }
+        const size_t k = 1 + rng.NextUint64(6);
+        const TopKResult live = runtime->Search(query, k);
+        const TopKResult want = ThresholdTopK(reference, query, k);
+        EXPECT_EQ(live.docs, want.docs);
+        EXPECT_EQ(live.sorted_accesses, want.sorted_accesses);
+        EXPECT_EQ(live.random_accesses, want.random_accesses);
+        EXPECT_EQ(live.docs, ExhaustiveTopK(reference, query, k).docs);
+      }
+      ++checked;
+    }
+    EXPECT_GT(runtime->window_start(), 0);
+  }
+  // Not vacuous: the run hit degraded evicting ticks and oracle checks.
+  EXPECT_GT(degraded_evicting, 0u);
+  EXPECT_GT(checked, 60u);
+#ifdef STBURST_FAULT_INJECTION
+  EXPECT_GT(rolled_back, 0u);
+#endif
 }
 
 TEST(FeedRuntime, SearchEdgeCasesAreDefined) {

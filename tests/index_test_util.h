@@ -1,5 +1,5 @@
 // Shared InvertedIndex comparison for the test suite: the posting-for-
-// posting equality that the eviction, refreeze, and search-serving parity
+// posting equality that the successor, eviction, and search-serving parity
 // tests all assert. One definition so a future Posting field cannot be
 // silently dropped from some copies of the check.
 
@@ -16,8 +16,8 @@ namespace stburst {
 
 // Posting-for-posting equality (docs, scores, order, totals); terms past
 // either index's id space compare as empty (a term whose postings were
-// wholly evicted keeps its empty slot in an incrementally maintained index
-// but never appears in a rebuilt one).
+// wholly evicted keeps its empty slot in a live runtime's index but never
+// appears in a rebuilt one).
 inline void ExpectIdenticalIndexes(const InvertedIndex& a,
                                    const InvertedIndex& b) {
   EXPECT_EQ(a.total_postings(), b.total_postings());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "stburst/common/random.h"
@@ -63,43 +65,42 @@ TEST(InvertedIndex, CountsAndFinalizeIdempotent) {
   EXPECT_TRUE(idx.finalized());
 }
 
-TEST(InvertedIndex, ReopenIncrementalRefreezeMatchesFromScratch) {
-  // Live-feed shape: freeze, reopen, feed more postings, refreeze. The
-  // incremental refreeze (only dirty terms re-sorted) must be
-  // indistinguishable from an index built in one shot.
-  InvertedIndex incremental;
+// Freezes `postings` into one list (the shape a maintainer stages).
+std::shared_ptr<const TermList> ListOf(std::vector<Posting> postings) {
+  return TermList::Freeze(std::move(postings));
+}
+
+TEST(InvertedIndex, SuccessorMatchesFromScratch) {
+  // Live-feed shape: freeze, then derive the next generation by replacing
+  // the terms that changed. The successor must be indistinguishable from an
+  // index built in one shot over the same postings.
+  InvertedIndex first;
+  first.Add(0, 1, 1.0);
+  first.Add(0, 2, 5.0);
+  first.Add(1, 1, 2.0);
+  first.Finalize();
+
+  const std::vector<TermId> terms = {0, 2};
+  std::vector<std::shared_ptr<const TermList>> lists;
+  lists.push_back(ListOf({{1, 1.0}, {2, 5.0}, {3, 3.0}}));
+  lists.push_back(ListOf({{4, 0.5}}));  // a term the first generation lacked
+  const InvertedIndex next = first.Successor(terms, std::move(lists));
+
   InvertedIndex reference;
-  incremental.Add(0, 1, 1.0);
-  incremental.Add(0, 2, 5.0);
-  incremental.Add(1, 1, 2.0);
-  incremental.Finalize();
-
-  incremental.Reopen();
-  incremental.Add(0, 3, 3.0);   // dirty term: existing list
-  incremental.Add(2, 9, 0.5);   // dirty term: brand new
-  incremental.Finalize();
-
   reference.Add(0, 1, 1.0);
   reference.Add(0, 2, 5.0);
-  reference.Add(1, 1, 2.0);
   reference.Add(0, 3, 3.0);
-  reference.Add(2, 9, 0.5);
+  reference.Add(1, 1, 2.0);
+  reference.Add(2, 4, 0.5);
   reference.Finalize();
-
-  ASSERT_EQ(incremental.num_terms(), reference.num_terms());
-  EXPECT_EQ(incremental.total_postings(), reference.total_postings());
-  for (TermId t = 0; t < reference.num_terms(); ++t) {
-    const auto& a = incremental.postings(t);
-    const auto& b = reference.postings(t);
-    ASSERT_EQ(a.size(), b.size()) << "term " << t;
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].doc, b[i].doc);
-      EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
-    }
-  }
+  ExpectIdenticalIndexes(next, reference);
   double score = 0.0;
-  EXPECT_TRUE(incremental.Score(0, 3, &score));
+  EXPECT_TRUE(next.Score(0, 3, &score));
   EXPECT_DOUBLE_EQ(score, 3.0);
+  // The predecessor is frozen: deriving a successor never edits it.
+  EXPECT_EQ(first.postings(0).size(), 2u);
+  EXPECT_TRUE(first.postings(2).empty());
+  EXPECT_EQ(first.total_postings(), 3u);
 }
 
 TEST(InvertedIndex, GenerationBumpsOnEveryFreeze) {
@@ -110,143 +111,101 @@ TEST(InvertedIndex, GenerationBumpsOnEveryFreeze) {
   EXPECT_EQ(idx.generation(), 1u);
   idx.Finalize();  // idempotent: no state change, no bump
   EXPECT_EQ(idx.generation(), 1u);
-  idx.Reopen();
-  EXPECT_EQ(idx.generation(), 1u);  // reopening alone is not a new freeze
-  idx.Add(0, 2, 2.0);
-  idx.Finalize();
-  EXPECT_EQ(idx.generation(), 2u);
-  EXPECT_EQ(idx.postings(0).size(), 2u);
+  const TermId term = 0;
+  std::vector<std::shared_ptr<const TermList>> lists;
+  lists.push_back(ListOf({{1, 1.0}, {2, 2.0}}));
+  const InvertedIndex next = idx.Successor({&term, 1}, std::move(lists));
+  EXPECT_EQ(next.generation(), 2u);
+  EXPECT_EQ(next.postings(0).size(), 2u);
+  EXPECT_EQ(idx.generation(), 1u);
+  // A default-constructed index is the empty generation 0.
+  EXPECT_EQ(InvertedIndex().Successor({}, {}).generation(), 1u);
 }
 
-TEST(InvertedIndex, ReopenWhileOpenIsANoOp) {
-  InvertedIndex idx;
-  idx.Reopen();
-  idx.Add(0, 1, 1.0);
-  idx.Finalize();
-  EXPECT_TRUE(idx.finalized());
-}
-
-TEST(InvertedIndex, EvictBeforeDropsEvictedDocsInPlace) {
-  InvertedIndex idx;
-  idx.Add(0, 1, 4.0);
-  idx.Add(0, 5, 2.0);
-  idx.Add(0, 2, 3.0);
-  idx.Add(1, 2, 1.0);   // term whose postings are wholly evicted
-  idx.Add(2, 9, 0.5);   // term untouched by the eviction
-  idx.Finalize();
-  ASSERT_EQ(idx.generation(), 1u);
-
-  idx.Reopen();
-  idx.EvictBefore(/*min_live_doc=*/3);
-  idx.Finalize();
-  EXPECT_EQ(idx.generation(), 2u);  // the edit batch is one new freeze
-
-  // Only docs >= 3 survive, still in descending-score order, and the
-  // random-access maps forgot the evicted docs.
-  ASSERT_EQ(idx.postings(0).size(), 1u);
-  EXPECT_EQ(idx.postings(0)[0].doc, 5u);
-  EXPECT_TRUE(idx.postings(1).empty());
-  ASSERT_EQ(idx.postings(2).size(), 1u);
-  EXPECT_EQ(idx.total_postings(), 2u);
-  double score = 0.0;
-  EXPECT_FALSE(idx.Score(0, 1, &score));
-  EXPECT_FALSE(idx.Score(0, 2, &score));
-  EXPECT_TRUE(idx.Score(0, 5, &score));
-  EXPECT_DOUBLE_EQ(score, 2.0);
-  EXPECT_FALSE(idx.Score(1, 2, &score));
-}
-
-TEST(InvertedIndex, ClearTermReplacesPostings) {
+TEST(InvertedIndex, SuccessorReplacesAndClearsTerms) {
   InvertedIndex idx;
   idx.Add(0, 1, 1.0);
   idx.Add(0, 2, 2.0);
   idx.Add(1, 1, 9.0);
   idx.Finalize();
 
-  // The live maintainer's per-term refresh: drop and re-derive one term.
-  idx.Reopen();
-  idx.ClearTerm(0);
-  idx.Add(0, 3, 7.0);
-  idx.Finalize();
+  // The live maintainer's per-term refresh: re-derive one term, and clear
+  // another to empty (a null list).
+  const std::vector<TermId> terms = {0, 1};
+  std::vector<std::shared_ptr<const TermList>> lists;
+  lists.push_back(ListOf({{3, 7.0}}));
+  lists.push_back(ListOf({}));
+  EXPECT_EQ(lists.back(), nullptr);  // empty lists freeze to null
+  const InvertedIndex next = idx.Successor(terms, std::move(lists));
 
-  ASSERT_EQ(idx.postings(0).size(), 1u);
-  EXPECT_EQ(idx.postings(0)[0].doc, 3u);
-  EXPECT_EQ(idx.total_postings(), 2u);
+  ASSERT_EQ(next.postings(0).size(), 1u);
+  EXPECT_EQ(next.postings(0)[0].doc, 3u);
+  EXPECT_TRUE(next.postings(1).empty());
+  EXPECT_EQ(next.list(1), nullptr);
+  EXPECT_EQ(next.total_postings(), 1u);
   double score = 0.0;
-  EXPECT_FALSE(idx.Score(0, 1, &score));  // old map entries are gone
-  EXPECT_TRUE(idx.Score(0, 3, &score));
-  EXPECT_TRUE(idx.Score(1, 1, &score));   // untouched term unaffected
-
-  // Clearing a term to empty (no re-adds) leaves a clean empty slot.
-  idx.Reopen();
-  idx.ClearTerm(1);
-  idx.Finalize();
-  EXPECT_TRUE(idx.postings(1).empty());
-  EXPECT_FALSE(idx.Score(1, 1, &score));
-  EXPECT_EQ(idx.total_postings(), 1u);
+  EXPECT_FALSE(next.Score(0, 1, &score));  // old postings are gone
+  EXPECT_TRUE(next.Score(0, 3, &score));
+  EXPECT_FALSE(next.Score(1, 1, &score));
 }
 
-TEST(InvertedIndex, RandomizedAppendEvictInterleavingsMatchRebuild) {
-  // The live-feed shape, randomized: rounds of "append postings for fresh
-  // docs, then evict an id prefix", the incremental index following each
-  // round in place (Reopen → EvictBefore → Add → Finalize). After every
-  // round it must be indistinguishable from an index rebuilt from scratch
-  // over the surviving postings, and every round must bump the generation
-  // exactly once.
-  constexpr size_t kTerms = 12;
-  Rng rng(2024);
-  InvertedIndex incremental;
-  std::vector<std::vector<Posting>> live(kTerms);  // per-term surviving docs
+TEST(InvertedIndex, SuccessorSharesUntouchedLists) {
+  // The O(changed) property: a term the successor does not replace keeps
+  // the very same frozen storage.
+  InvertedIndex idx;
+  idx.Add(0, 1, 1.0);
+  idx.Add(1, 2, 2.0);
+  idx.Finalize();
+  const TermId term = 1;
+  std::vector<std::shared_ptr<const TermList>> lists;
+  lists.push_back(ListOf({{5, 4.0}}));
+  const InvertedIndex next = idx.Successor({&term, 1}, std::move(lists));
+  EXPECT_EQ(next.list(0), idx.list(0));
+  EXPECT_EQ(next.postings(0).data(), idx.postings(0).data());
+  EXPECT_NE(next.list(1), idx.list(1));
+}
 
-  DocId next_doc = 0;
-  DocId min_live = 0;
-  for (int round = 0; round < 30; ++round) {
-    incremental.Reopen();
-
-    // Evict: advance the live floor past a random slice of current docs.
-    if (round > 0 && rng.Bernoulli(0.7)) {
-      min_live += static_cast<DocId>(rng.NextUint64(4));
-      incremental.EvictBefore(min_live);
-      for (auto& plist : live) {
-        std::erase_if(plist,
-                      [&](const Posting& p) { return p.doc < min_live; });
-      }
-    }
-
-    // Append: a few new docs, each scoring on a few random distinct terms
-    // (Add takes each (term, doc) pair at most once — colliding draws are
-    // dropped).
-    const size_t docs = 1 + rng.NextUint64(3);
-    std::vector<TermId> doc_terms;
-    for (size_t d = 0; d < docs; ++d) {
-      const DocId doc = next_doc++;
-      if (doc < min_live) continue;
-      const size_t hits = 1 + rng.NextUint64(3);
-      doc_terms.clear();
-      for (size_t h = 0; h < hits; ++h) {
-        const TermId term = static_cast<TermId>(rng.NextUint64(kTerms));
-        if (std::find(doc_terms.begin(), doc_terms.end(), term) !=
-            doc_terms.end()) {
-          continue;
-        }
-        doc_terms.push_back(term);
-        const double score = rng.Uniform(0.1, 5.0);
-        incremental.Add(term, doc, score);
-        live[term].push_back(Posting{doc, score});
-      }
-    }
-
-    const uint64_t before = incremental.generation();
-    incremental.Finalize();
-    ASSERT_EQ(incremental.generation(), before + 1) << "round " << round;
-
-    InvertedIndex rebuilt;
-    for (TermId t = 0; t < kTerms; ++t) {
-      for (const Posting& p : live[t]) rebuilt.Add(t, p.doc, p.score);
-    }
-    rebuilt.Finalize();
-    ExpectIdenticalIndexes(incremental, rebuilt);
+TEST(TermList, FreezeBuildsBothOrders) {
+  // Out-of-DocId-order input: sorted access by (score desc, doc asc), random
+  // access by binary search over the doc order.
+  const auto list = ListOf({{9, 1.0}, {3, 1.0}, {5, 4.0}, {1, 0.5}});
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->size(), 4u);
+  const std::vector<Posting>& by_score = list->by_score();
+  EXPECT_EQ(by_score[0].doc, 5u);
+  EXPECT_EQ(by_score[1].doc, 3u);
+  EXPECT_EQ(by_score[2].doc, 9u);
+  EXPECT_EQ(by_score[3].doc, 1u);
+  EXPECT_EQ(list->min_doc(), 1u);
+  double score = 0.0;
+  for (const Posting& p : by_score) {
+    ASSERT_TRUE(list->Score(p.doc, &score)) << "doc " << p.doc;
+    EXPECT_EQ(score, p.score);
   }
+  EXPECT_FALSE(list->Score(0, &score));
+  EXPECT_FALSE(list->Score(4, &score));
+  EXPECT_FALSE(list->Score(10, &score));
+}
+
+TEST(TermList, DropBeforeFiltersEvictedDocs) {
+  const auto list = ListOf({{1, 4.0}, {2, 3.0}, {5, 2.0}, {7, 6.0}});
+  const auto kept = list->DropBefore(/*min_doc=*/3);
+  ASSERT_NE(kept, nullptr);
+  // Only docs >= 3 survive, still in descending-score order, and random
+  // access forgot the evicted docs.
+  ASSERT_EQ(kept->size(), 2u);
+  EXPECT_EQ(kept->by_score()[0].doc, 7u);
+  EXPECT_EQ(kept->by_score()[1].doc, 5u);
+  EXPECT_EQ(kept->min_doc(), 5u);
+  double score = 0.0;
+  EXPECT_FALSE(kept->Score(1, &score));
+  EXPECT_FALSE(kept->Score(2, &score));
+  ASSERT_TRUE(kept->Score(5, &score));
+  EXPECT_DOUBLE_EQ(score, 2.0);
+  // The source list is frozen and unchanged.
+  EXPECT_EQ(list->size(), 4u);
+  // Evicting every doc leaves no list.
+  EXPECT_EQ(list->DropBefore(8), nullptr);
 }
 
 TEST(PatternIndex, OverlapSemantics) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,11 +112,11 @@ TEST(BurstySearchEngine, ThresholdAndExhaustiveAgree) {
   }
 }
 
-TEST(IndexTermDocuments, TermMajorRefreshMatchesDocMajorBuild) {
-  // The incremental path FeedRuntime's search serving takes — per-term
-  // re-derivation through the frequency index — must produce postings
-  // identical to the doc-major BurstySearchEngine::Build from the same
-  // pattern state, on a randomized corpus.
+TEST(DocPostings, TermMajorScoringMatchesDocMajorBuild) {
+  // The path FeedRuntime's search serving takes — per-term scoring of
+  // doc-level (doc, count) postings — must produce postings identical to
+  // the doc-major BurstySearchEngine::Build from the same pattern state, on
+  // a randomized corpus.
   Rng rng(17);
   auto c = Collection::Create(12);
   const size_t n = 3, vocab = 10;
@@ -154,12 +155,21 @@ TEST(IndexTermDocuments, TermMajorRefreshMatchesDocMajorBuild) {
   }
 
   auto engine = BurstySearchEngine::Build(*c, patterns);
-  FrequencyIndex freq = FrequencyIndex::Build(*c);
-  InvertedIndex term_major;
-  for (TermId t = 0; t < vocab; ++t) {
-    IndexTermDocuments(*c, freq, t, patterns.PatternsFor(t), &term_major);
+  std::vector<std::vector<DocCount>> doc_postings;
+  AppendDocPostings(*c, c->doc_id_base(), &doc_postings);
+  std::vector<TermId> terms;
+  std::vector<std::shared_ptr<const TermList>> lists;
+  for (TermId t = 0; t < doc_postings.size(); ++t) {
+    for (size_t i = 1; i < doc_postings[t].size(); ++i) {
+      ASSERT_LT(doc_postings[t][i - 1].doc, doc_postings[t][i].doc);
+    }
+    std::vector<Posting> scored;
+    ScoreDocPostings(*c, doc_postings[t], patterns.PatternsFor(t), &scored);
+    terms.push_back(t);
+    lists.push_back(TermList::Freeze(std::move(scored)));
   }
-  term_major.Finalize();
+  const InvertedIndex term_major =
+      InvertedIndex().Successor(terms, std::move(lists));
   ExpectIdenticalIndexes(term_major, engine.index());
 }
 

@@ -106,6 +106,56 @@ TEST(ThresholdTopK, MatchesExhaustiveOnRandomIndexes) {
   }
 }
 
+TEST(ThresholdTopK, UnseenDocTiedAtKthScoreWinsBySmallerId) {
+  // term 0: d9=2, d1=1; term 1: d5=1.5, d1=1. After one round TA holds d9
+  // (2.0) and d5 (1.5) and the threshold is 1 + 1 = 2 — equal to the k-th
+  // score. The unseen d1 also totals 2.0 and, with the smaller id, belongs
+  // in the top-1: TA must not stop on a tie.
+  InvertedIndex idx;
+  idx.Add(0, 9, 2.0);
+  idx.Add(0, 1, 1.0);
+  idx.Add(1, 5, 1.5);
+  idx.Add(1, 1, 1.0);
+  idx.Finalize();
+  const TopKResult ta = ThresholdTopK(idx, {0, 1}, 1);
+  const TopKResult ex = ExhaustiveTopK(idx, {0, 1}, 1);
+  ASSERT_EQ(ex.docs.size(), 1u);
+  EXPECT_EQ(ex.docs[0].doc, 1u);
+  ASSERT_EQ(ta.docs.size(), 1u);
+  EXPECT_EQ(ta.docs[0], ex.docs[0]);
+}
+
+TEST(ThresholdTopK, MatchesExhaustiveOnTieHeavyIndexes) {
+  // Scores drawn from a handful of dyadic values, so sums are exact and
+  // aggregate ties are everywhere — including at the k-th score, where TA
+  // must keep exactly the exhaustive merge's documents (ascending id).
+  Rng rng(4711);
+  const double kValues[] = {0.25, 0.5, 1.0, 2.0};
+  for (int trial = 0; trial < 300; ++trial) {
+    InvertedIndex idx;
+    const size_t terms = 1 + rng.NextUint64(4);
+    const DocId docs = static_cast<DocId>(4 + rng.NextUint64(60));
+    for (TermId t = 0; t < terms; ++t) {
+      for (DocId d = 0; d < docs; ++d) {
+        if (rng.Bernoulli(0.5)) idx.Add(t, d, kValues[rng.NextUint64(4)]);
+      }
+    }
+    idx.Finalize();
+    std::vector<TermId> query;
+    for (TermId t = 0; t < terms; ++t) query.push_back(t);
+    const size_t k = 1 + rng.NextUint64(10);
+    const TopKResult ta = ThresholdTopK(idx, query, k);
+    const TopKResult ex = ExhaustiveTopK(idx, query, k);
+    ASSERT_EQ(ta.docs.size(), ex.docs.size()) << "trial " << trial;
+    for (size_t i = 0; i < ta.docs.size(); ++i) {
+      EXPECT_EQ(ta.docs[i].doc, ex.docs[i].doc)
+          << "trial " << trial << " rank " << i;
+      EXPECT_EQ(ta.docs[i].score, ex.docs[i].score)
+          << "trial " << trial << " rank " << i;
+    }
+  }
+}
+
 TEST(ThresholdTopK, NeverMoreSortedAccessesThanExhaustive) {
   Rng rng(7);
   InvertedIndex idx;
