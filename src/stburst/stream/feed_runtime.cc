@@ -112,26 +112,18 @@ Status GuardTickPhase(Fn&& fn) {
 
 FeedRuntime::FeedRuntime(Collection collection, FeedRuntimeOptions options)
     : options_(std::move(options)), collection_(std::move(collection)) {
-  if (options_.shared_pool != nullptr) {
-    // Borrowed pool: the coordinator that lent it sizes the parallelism;
-    // spawning our own workers on top would oversubscribe the machine once
-    // per shard.
-    pool_ = options_.shared_pool;
-  } else {
-    const size_t threads = ResolveThreadCount(options_.num_threads);
-    // The calling thread participates in every ParallelFor, so threads - 1
-    // pool workers give the requested parallelism; serial runtimes hold no
-    // pool at all (ParallelFor(nullptr, ...) runs inline).
-    if (threads > 1) {
-      owned_pool_ = std::make_unique<ThreadPool>(
-          ThreadPoolOptions{threads - 1, options_.pin_threads});
-      pool_ = owned_pool_.get();
-    }
+  const size_t threads = ResolveThreadCount(options_.num_threads);
+  // The calling thread participates in every ParallelFor, so threads - 1
+  // pool workers give the requested parallelism; serial runtimes hold no
+  // pool at all (ParallelFor(nullptr, ...) runs inline).
+  if (threads > 1) {
+    pool_ = std::make_unique<ThreadPool>(
+        ThreadPoolOptions{threads - 1, options_.pin_threads});
   }
   // The miner always runs on the standing pool (or inline when serial);
   // a caller-supplied transient-pool configuration would reintroduce the
   // per-tick spawn/join this runtime exists to remove.
-  options_.miner.pool = pool_;
+  options_.miner.pool = pool_.get();
   options_.miner.num_threads = 1;
 }
 
@@ -209,7 +201,7 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
   }
 
   runtime.index_ = FrequencyIndex::BuildWithPool(runtime.collection_,
-                                                 runtime.pool_);
+                                                 runtime.pool_.get());
   STB_ASSIGN_OR_RETURN(runtime.result_,
                        MineAllTerms(runtime.index_, runtime.options_.miner));
 
@@ -252,9 +244,8 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
 }
 
 StatusOr<FeedTickStats> FeedRuntime::Tick(Snapshot snapshot) {
-  // Exactly the phase protocol a coordinator drives, with this runtime as
-  // the only participant. Each phase maps its own exceptions, so the error
-  // surface is identical to the old monolithic tick.
+  // Exactly the public phase protocol; each phase maps its own exceptions
+  // to Status.
   STB_ASSIGN_OR_RETURN(TickTransaction tx,
                        PrepareTickIngest(std::move(snapshot)));
   std::vector<TermId> refresh_targets;
@@ -407,7 +398,7 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
   undo->collection_appended = true;
   STB_ASSIGN_OR_RETURN(stats->time, collection_.Append(std::move(snapshot)));
   undo->index_appended = true;
-  STB_RETURN_NOT_OK(index_.AppendSnapshot(collection_, pool_));
+  STB_RETURN_NOT_OK(index_.AppendSnapshot(collection_, pool_.get()));
 
   // Search serving scores from doc-level postings: the appended ids extend
   // each touched term's list at its tail, which is all a rollback removes.
@@ -429,7 +420,7 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
                                                 &undo->collection_undo));
       undo->freq_evicted = true;
       STB_RETURN_NOT_OK(
-          index_.EvictBefore(cutoff, pool_, &undo->freq_undo));
+          index_.EvictBefore(cutoff, pool_.get(), &undo->freq_undo));
       stats->evicted = true;
 
       // Tiered history (retention rule 9): the postings the eviction just
@@ -780,8 +771,7 @@ std::vector<TermId> FeedRuntime::SelectRefreshTargets(
     std::vector<RefreshCandidate> candidates, size_t budget) {
   budget = std::min(budget, candidates.size());
   // Deterministic order: priority descending, TermId ascending on ties —
-  // the sweep must pick the same terms at any thread count (and, merged
-  // across shards, the same terms at any shard count).
+  // the sweep must pick the same terms at any thread count.
   std::partial_sort(candidates.begin(),
                     candidates.begin() + static_cast<ptrdiff_t>(budget),
                     candidates.end(),
@@ -830,7 +820,7 @@ std::vector<std::shared_ptr<const TermList>> FeedRuntime::StageSearchPostings(
     const std::vector<TermId>& terms,
     const std::vector<std::vector<DocCount>>& doc_postings,
     const std::function<const TermPatterns&(TermId)>& slot_for) const {
-  // Sharded across the standing pool: per-worker scratch (the calling
+  // Fanned across the standing pool: per-worker scratch (the calling
   // thread takes the highest worker id), each term scored and frozen —
   // sorted into its TermList — on its worker, results into index-addressed
   // slots: schedule-independent output at any thread count. Reads only
@@ -840,7 +830,7 @@ std::vector<std::shared_ptr<const TermList>> FeedRuntime::StageSearchPostings(
   const size_t workers = pool_ != nullptr ? pool_->num_threads() + 1 : 1;
   std::vector<std::vector<TermPattern>> pattern_scratch(workers);
   std::vector<std::vector<Posting>> posting_scratch(workers);
-  ParallelFor(pool_, 0, terms.size(), [&](size_t worker, size_t i) {
+  ParallelFor(pool_.get(), 0, terms.size(), [&](size_t worker, size_t i) {
     STBURST_FAULT_POINT_THROW("runtime.search_update");
     const TermId term = terms[i];
     if (term >= doc_postings.size()) return;

@@ -111,22 +111,13 @@ struct FeedRuntimeOptions {
   /// Workers of the persistent pool (0 = hardware concurrency, 1 = fully
   /// serial on the calling thread). Shared by the index build, the append
   /// splice, eviction, every re-mine, and the search-snapshot build — no
-  /// per-tick thread spawn/join. Ignored when `shared_pool` is set.
+  /// per-tick thread spawn/join.
   size_t num_threads = 1;
 
-  /// Pin the owned pool's workers to cores (ThreadPoolOptions::pin_threads)
-  /// — for dedicated hosts where the runtime owns the machine. Ignored when
-  /// `shared_pool` is set (the pool's creator decides) or when the runtime
-  /// is serial.
+  /// Pin the pool's workers to cores (ThreadPoolOptions::pin_threads) — for
+  /// dedicated hosts where the runtime owns the machine. Ignored when the
+  /// runtime is serial.
   bool pin_threads = false;
-
-  /// Borrowed standing pool. When set, the runtime spawns no threads of its
-  /// own and fans every parallel phase across this pool instead — the way a
-  /// coordinator (ShardedRuntime) lets K shards share one pool rather than
-  /// oversubscribing the machine K times. Nested fan-out is safe: ParallelFor
-  /// waits by helping (see common/parallel.h). Not owned; must outlive the
-  /// runtime.
-  ThreadPool* shared_pool = nullptr;
 
   /// Retention window W in timestamps: after each tick, timestamps older
   /// than timeline_length - W are evicted from the collection, the index,
@@ -153,8 +144,7 @@ struct FeedRuntimeOptions {
   /// file when reopening an mmap tier (aggregates cannot be re-bucketed).
   Timestamp history_bucket_width = 4;
 
-  /// Published tier file for kMmap (required there, ignored otherwise). A
-  /// ShardedRuntime derives per-shard files as `<path>.shard<i>`.
+  /// Published tier file for kMmap (required there, ignored otherwise).
   std::string history_path;
 
   /// Maintain a bursty-document search read plane (paper §5) over the
@@ -230,23 +220,19 @@ struct FeedTickStats {
 
 /// One quiet term the refresh sweep could re-mine this tick, with the
 /// priority the scheduling policy assigns it (windowed mass × ticks since
-/// its last mine). Produced by FeedRuntime::RefreshCandidates; a
-/// coordinator that owns several runtimes (ShardedRuntime) merges the
-/// per-shard candidate lists and selects one global budget with
-/// FeedRuntime::SelectRefreshTargets, so sharding never changes *which*
-/// terms the sweep refreshes.
+/// its last mine). Produced by FeedRuntime::RefreshCandidates and ranked by
+/// FeedRuntime::SelectRefreshTargets.
 struct RefreshCandidate {
   TermId term = kInvalidTerm;
   double priority = 0.0;
 };
 
 /// The pure validation half of FeedRuntime's step 0, usable by any owner of
-/// a snapshot stream (ShardedRuntime validates once globally before
-/// splitting). kRejectTick returns InvalidArgument on the first malformed
-/// document; kDropDocument compacts the offenders out of `snapshot` and
-/// adds their count to `*rejected`. Malformed means: unknown stream id
-/// (>= num_streams), token outside [0, vocabulary_size), or the same stream
-/// re-reporting the same explicit event id within this snapshot.
+/// a snapshot stream. kRejectTick returns InvalidArgument on the first
+/// malformed document; kDropDocument compacts the offenders out of
+/// `snapshot` and adds their count to `*rejected`. Malformed means: unknown
+/// stream id (>= num_streams), token outside [0, vocabulary_size), or the
+/// same stream re-reporting the same explicit event id within this snapshot.
 Status ValidateSnapshotDocuments(size_t num_streams, size_t vocabulary_size,
                                  InvalidDocPolicy policy, Snapshot* snapshot,
                                  size_t* rejected);
@@ -306,19 +292,20 @@ class FeedRuntime {
     std::unique_ptr<Impl> impl_;
   };
 
-  /// Phase-split Tick, for coordinators that interleave several runtimes'
-  /// ticks into one transaction (ShardedRuntime). The protocol is
+  /// Phase-split Tick, public so a caller can time each phase of a tick on
+  /// its own (the repository benchmark's per-phase split uses it). The
+  /// protocol is
   ///
   ///   PrepareTickIngest → RefreshCandidates / SelectRefreshTargets →
   ///   StageTickDerived → CommitTick | AbortTick
   ///
-  /// and Tick() itself is exactly this composition, so a single-runtime
-  /// caller never needs it. Each phase is individually transactional: a
-  /// non-OK PrepareTickIngest has already rolled itself back; a non-OK
-  /// StageTickDerived leaves the transaction intact and the caller MUST
-  /// AbortTick it; CommitTick either commits, rolls back cleanly, or — on a
-  /// failure after publication began — wedges the runtime, exactly like
-  /// Tick.
+  /// and Tick() itself is exactly this composition, so a caller that only
+  /// wants whole ticks never needs it. Each phase is individually
+  /// transactional: a non-OK PrepareTickIngest has already rolled itself
+  /// back; a non-OK StageTickDerived leaves the transaction intact and the
+  /// caller MUST AbortTick it; CommitTick either commits, rolls back
+  /// cleanly, or — on a failure after publication began — wedges the
+  /// runtime, exactly like Tick.
   ///
   /// PrepareTickIngest runs validation and the mutation phase (append,
   /// index splice, retention eviction) plus the dirty re-mine into staging.
@@ -331,9 +318,7 @@ class FeedRuntime {
       const TickTransaction& tx) const;
 
   /// The deterministic selection rule of the refresh sweep: the `budget`
-  /// highest-priority candidates, ties to the smaller TermId. Static so a
-  /// coordinator can run it over merged per-shard candidate lists and get
-  /// the same global pick the unsharded runtime would make.
+  /// highest-priority candidates, ties to the smaller TermId.
   static std::vector<TermId> SelectRefreshTargets(
       std::vector<RefreshCandidate> candidates, size_t budget);
 
@@ -369,9 +354,8 @@ class FeedRuntime {
   Vocabulary* mutable_vocabulary() { return collection_.mutable_vocabulary(); }
 
   /// The standing pool, usable by callers between ticks (e.g. to fan a
-  /// search-index rebuild); nullptr when the runtime is serial. The
-  /// borrowed pool when options.shared_pool was set.
-  ThreadPool* pool() { return pool_; }
+  /// search-index rebuild); nullptr when the runtime is serial.
+  ThreadPool* pool() { return pool_.get(); }
 
   /// The currently published search snapshot — one atomic acquire load, no
   /// locks. Hold it as long as you like: it stays bit-identical while
@@ -471,11 +455,8 @@ class FeedRuntime {
 
   FeedRuntimeOptions options_;
   Collection collection_;
-  // The standing pool: owned_pool_ holds the runtime's own workers (null
-  // when serial or borrowing); pool_ is the pool every phase actually uses —
-  // owned_pool_.get(), options_.shared_pool, or null when fully serial.
-  std::unique_ptr<ThreadPool> owned_pool_;
-  ThreadPool* pool_ = nullptr;
+  // The standing pool every phase fans across; null when fully serial.
+  std::unique_ptr<ThreadPool> pool_;
   // Standing stream-position binning for regional mining (null otherwise):
   // built once at Create — stream positions never move — and lent to every
   // re-mine via options_.miner.binning, so no tick rebuilds the geometry.

@@ -5,10 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 
 #include "stburst/common/random.h"
 #include "stburst/common/simd.h"
@@ -396,93 +392,6 @@ TEST(SolveCellsSimd, AllIsaLevelsBitIdentical) {
         EXPECT_TRUE(r.ok());
         return r.ok() ? *r : MaxRectResult{};
       });
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// KadaneMode::kVectorized — the reassociation boundary's parity gate. The
-// contract is per-band maxima within 4 ULP of scalar mode (the argmax
-// window on exact ties is documented unspecified); the filter + exact
-// scalar-recovery implementation actually delivers bit-equality, which this
-// ULP gate subsumes. Runs under every supported dispatch ISA.
-// ---------------------------------------------------------------------------
-
-int64_t OrderedBits(double x) {
-  int64_t i;
-  static_assert(sizeof(i) == sizeof(x));
-  std::memcpy(&i, &x, sizeof(i));
-  return i < 0 ? std::numeric_limits<int64_t>::min() - i : i;
-}
-
-int64_t UlpDiff(double a, double b) {
-  if (a == b) return 0;
-  return std::llabs(OrderedBits(a) - OrderedBits(b));
-}
-
-TEST(SolveCellsKadane, VectorizedParityWithinUlpGate) {
-  Rng rng(20120807);
-  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
-  if (simd::Avx2Supported()) isas.push_back(simd::Isa::kAvx2);
-  if (simd::Avx512Supported()) isas.push_back(simd::Isa::kAvx512);
-
-  struct Shape {
-    size_t n;
-    MaxRectOptions opts;
-    bool single_column;  // all points share one x: a one-column band matrix
-  };
-  std::vector<Shape> shapes;
-  for (size_t n : {1u, 5u, 17u, 63u, 200u}) {
-    shapes.push_back({n, MaxRectOptions{}, false});
-  }
-  shapes.push_back({32, MaxRectOptions{}, true});  // degenerate single column
-  {
-    MaxRectOptions grid;
-    grid.mode = MaxRectOptions::Mode::kGrid;
-    shapes.push_back({4096, grid, false});
-  }
-
-  for (const Shape& shape : shapes) {
-    std::vector<Point2D> pts(shape.n);
-    for (size_t i = 0; i < shape.n; ++i) {
-      pts[i] = Point2D{shape.single_column ? 3.0 : rng.Uniform(0, 100),
-                       rng.Uniform(0, 100)};
-    }
-    MaxRectOptions scalar_opts = shape.opts;
-    scalar_opts.kadane = MaxRectOptions::KadaneMode::kScalar;
-    MaxRectOptions vec_opts = shape.opts;
-    vec_opts.kadane = MaxRectOptions::KadaneMode::kVectorized;
-    auto scalar_binning = SpatialBinning::Create(pts, scalar_opts);
-    auto vec_binning = SpatialBinning::Create(pts, vec_opts);
-    ASSERT_TRUE(scalar_binning.ok());
-    ASSERT_TRUE(vec_binning.ok());
-    ASSERT_EQ(vec_binning->kadane(), MaxRectOptions::KadaneMode::kVectorized);
-
-    for (int snapshot = 0; snapshot < 6; ++snapshot) {
-      std::vector<double> w = RandomWeights(rng, shape.n);
-      if (snapshot == 4) {
-        for (double& v : w) v = -std::fabs(v) - 0.125;  // all-negative band
-      }
-      // Scalar mode under scalar dispatch is the reference.
-      const simd::Isa previous = simd::SetIsaForTest(simd::Isa::kScalar);
-      auto reference = MaxWeightRectangle(*scalar_binning, w);
-      ASSERT_TRUE(reference.ok());
-      for (simd::Isa isa : isas) {
-        simd::SetIsaForTest(isa);
-        auto vectorized = MaxWeightRectangle(*vec_binning, w);
-        ASSERT_TRUE(vectorized.ok());
-        EXPECT_LE(UlpDiff(reference->score, vectorized->score), 4)
-            << simd::IsaName(isa) << " n=" << shape.n
-            << " snapshot=" << snapshot;
-        if (reference->score == vectorized->score) {
-          // Equal scores must mean the same window and members: the filter
-          // never alters which band wins, only whether its recurrence runs.
-          EXPECT_EQ(reference->rect, vectorized->rect) << simd::IsaName(isa);
-          EXPECT_EQ(reference->points_inside, vectorized->points_inside)
-              << simd::IsaName(isa);
-        }
-      }
-      simd::SetIsaForTest(previous);
     }
   }
 }

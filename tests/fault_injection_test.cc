@@ -192,9 +192,6 @@ struct SweepCase {
 std::vector<SweepCase> AllSweepCases() {
   std::vector<SweepCase> cases;
   for (std::string_view site : fault::RegisteredSites()) {
-    // Coordinator-only site: an unsharded Tick never routes through it.
-    // tests/sharded_runtime_test.cc sweeps it through ShardedRuntime::Tick.
-    if (site == "sharded.commit") continue;
     cases.push_back({site, fault::FailureKind::kStatus});
     cases.push_back({site, fault::FailureKind::kBadAlloc});
   }
@@ -279,7 +276,6 @@ TEST(FaultRegistry, SweepConfigurationHitsEverySite) {
     ASSERT_TRUE(runtime->Tick(MakeSnapshot(rng)).ok());
   }
   for (std::string_view site : fault::RegisteredSites()) {
-    if (site == "sharded.commit") continue;  // coordinator-only site
     EXPECT_GE(fault::HitCount(site), 1u) << "site never hit: " << site;
   }
   fault::DisarmAll();

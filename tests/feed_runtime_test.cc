@@ -885,7 +885,7 @@ TEST(FeedRuntimeSearchOracle,
 #ifdef STBURST_FAULT_INJECTION
       const std::vector<std::string_view> sites = fault::RegisteredSites();
       const std::string_view site = sites[rng.NextUint64(sites.size())];
-      if (rng.Bernoulli(0.3) && site != "sharded.commit") {
+      if (rng.Bernoulli(0.3)) {
         const std::shared_ptr<const IndexSnapshot> held =
             runtime->search_snapshot();
         const size_t docs = runtime->collection().num_documents();
@@ -941,6 +941,122 @@ TEST(FeedRuntimeSearchOracle,
 #ifdef STBURST_FAULT_INJECTION
   EXPECT_GT(rolled_back, 0u);
 #endif
+}
+
+void ExpectIdenticalTopK(const TopKResult& a, const TopKResult& b) {
+  EXPECT_EQ(a.docs, b.docs);
+  EXPECT_EQ(a.sorted_accesses, b.sorted_accesses);
+  EXPECT_EQ(a.random_accesses, b.random_accesses);
+  EXPECT_EQ(a.early_terminated, b.early_terminated);
+  EXPECT_EQ(a.generation, b.generation);
+}
+
+// The public phase protocol, driven by hand. Tick() aborts only after a
+// failed StageTickDerived, so this is the one check that AbortTick also
+// rolls back a transaction whose derived state staged cleanly (re-mined
+// slots, refresh targets, a fully built unpublished search snapshot).
+// Three lockstep runtimes see the same clean snapshots: `ticked` through
+// Tick(), `phased` through the hand-driven phases, and `aborted` through
+// Tick() after first preparing, staging and aborting a doomed snapshot.
+TEST(FeedRuntime, PhaseProtocolMatchesTickAndAbortAfterStageRollsBack) {
+  constexpr size_t kStreams = 5;
+  constexpr size_t kVocab = 50;
+
+  FeedRuntimeOptions opts = BaseOptions(2);
+  opts.retention_window = 8;
+  opts.refresh_budget = 4;
+  opts.search_serving = SearchServing::kCombinatorial;
+  auto ticked =
+      FeedRuntime::Create(MakeSeedCollection(kStreams, 3, kVocab), opts);
+  auto phased =
+      FeedRuntime::Create(MakeSeedCollection(kStreams, 3, kVocab), opts);
+  auto aborted =
+      FeedRuntime::Create(MakeSeedCollection(kStreams, 3, kVocab), opts);
+  ASSERT_TRUE(ticked.ok() && phased.ok() && aborted.ok());
+
+  const std::vector<std::vector<TermId>> queries = {
+      {TermId{0}, TermId{1}, TermId{2}}, {TermId{3}}, {TermId{4}, TermId{9}}};
+  Rng rng(4711);
+  size_t evicted = 0, refreshed = 0, rescored = 0;
+  for (int tick = 0; tick < 20; ++tick) {
+    SCOPED_TRACE(testing::Message() << "tick " << tick);
+    const Snapshot doomed = MakeSnapshot(rng, kStreams, kVocab);
+    const Snapshot snap = MakeSnapshot(rng, kStreams, kVocab);
+
+    // Prepare → Stage → Abort: bit-identical to `ticked`, which never saw
+    // `doomed`, with readers still on the very same snapshot object.
+    const std::shared_ptr<const IndexSnapshot> held =
+        aborted->search_snapshot();
+    auto doomed_tx = aborted->PrepareTickIngest(Snapshot(doomed));
+    ASSERT_TRUE(doomed_tx.ok()) << doomed_tx.status().ToString();
+    ASSERT_TRUE(aborted
+                    ->StageTickDerived(
+                        &*doomed_tx, FeedRuntime::SelectRefreshTargets(
+                                         aborted->RefreshCandidates(*doomed_tx),
+                                         opts.refresh_budget))
+                    .ok());
+    aborted->AbortTick(std::move(*doomed_tx));
+    EXPECT_EQ(aborted->search_snapshot().get(), held.get());
+    EXPECT_EQ(aborted->search_snapshot()->generation, held->generation);
+    ASSERT_EQ(aborted->collection().num_documents(),
+              ticked->collection().num_documents());
+    EXPECT_EQ(aborted->collection().doc_id_base(),
+              ticked->collection().doc_id_base());
+    EXPECT_EQ(aborted->collection().window_start(),
+              ticked->collection().window_start());
+    for (size_t i = 0; i < ticked->collection().num_documents(); ++i) {
+      const Document& a = aborted->collection().documents()[i];
+      const Document& b = ticked->collection().documents()[i];
+      EXPECT_EQ(a.id, b.id);
+      EXPECT_EQ(a.stream, b.stream);
+      EXPECT_EQ(a.time, b.time);
+      EXPECT_EQ(a.tokens, b.tokens);
+    }
+    ExpectIdenticalPostings(aborted->index(), ticked->index());
+    ExpectIdenticalResults(aborted->result(), ticked->result());
+
+    // The clean snapshot: Tick() on `ticked` and `aborted`, the phases by
+    // hand on `phased`.
+    auto want = ticked->Tick(Snapshot(snap));
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    auto recovered = aborted->Tick(Snapshot(snap));
+    ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+    auto tx = phased->PrepareTickIngest(Snapshot(snap));
+    ASSERT_TRUE(tx.ok()) << tx.status().ToString();
+    std::vector<TermId> targets = FeedRuntime::SelectRefreshTargets(
+        phased->RefreshCandidates(*tx), opts.refresh_budget);
+    ASSERT_TRUE(phased->StageTickDerived(&*tx, std::move(targets)).ok());
+    auto got = phased->CommitTick(std::move(*tx));
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+
+    for (const FeedTickStats* s : {&*got, &*recovered}) {
+      EXPECT_EQ(s->time, want->time);
+      EXPECT_EQ(s->documents, want->documents);
+      EXPECT_EQ(s->rejected_documents, want->rejected_documents);
+      EXPECT_EQ(s->dirty_terms, want->dirty_terms);
+      EXPECT_EQ(s->refreshed_terms, want->refreshed_terms);
+      EXPECT_EQ(s->search_terms, want->search_terms);
+      EXPECT_EQ(s->folded_terms, want->folded_terms);
+      EXPECT_EQ(s->evicted, want->evicted);
+      EXPECT_EQ(s->degraded, want->degraded);
+    }
+    for (const FeedRuntime* r : {&*phased, &*aborted}) {
+      ExpectIdenticalResults(r->result(), ticked->result());
+      EXPECT_EQ(r->search_index()->generation(),
+                ticked->search_index()->generation());
+      ExpectIdenticalIndexes(*r->search_index(), *ticked->search_index());
+      for (const std::vector<TermId>& q : queries) {
+        ExpectIdenticalTopK(r->Search(q, 5), ticked->Search(q, 5));
+      }
+    }
+    evicted += want->evicted ? 1 : 0;
+    refreshed += want->refreshed_terms;
+    rescored += want->search_terms;
+  }
+  // Not vacuous: the run evicted, refreshed and re-scored.
+  EXPECT_GT(evicted, 0u);
+  EXPECT_GT(refreshed, 0u);
+  EXPECT_GT(rescored, 0u);
 }
 
 TEST(FeedRuntime, SearchEdgeCasesAreDefined) {
