@@ -270,10 +270,9 @@ StatusOr<MaxRectResult> MaxWeightRectangle(const SpatialBinning& binning,
 
   MaxRectResult result = SolveCells(binning, scratch);
 
-  // Touched-cell reset: restore the all-zero invariant at O(points) — a
-  // masked scatter of zeros over the epoch-stamped touched list.
-  simd::ScatterZero(scratch.cells.data(), scratch.touched.data(),
-                    scratch.touched.size());
+  // Touched-cell reset: restore the all-zero invariant at O(points) by
+  // zeroing the epoch-stamped touched list.
+  for (size_t idx : scratch.touched) scratch.cells[idx] = 0.0;
   return result;
 }
 

@@ -27,8 +27,7 @@ const TermPatterns kEmptyPatterns;
 // failure wedges the runtime instead. The search read plane needs no undo
 // entry at all: its next generation is built entirely off to the side and
 // an unpublished IndexSnapshot is simply dropped. Its doc-level postings
-// need only the append: eviction trims them in the commit tail, and a
-// renumbering rebuild is staged.
+// need only the append: eviction trims them in the commit tail.
 struct FeedRuntime::FeedTickUndo {
   Timestamp old_timeline = 0;
   size_t old_num_documents = 0;
@@ -61,7 +60,6 @@ struct FeedRuntime::TickTransaction::Impl {
   FeedTickStats stats;
   Timer timer;                 // starts at PrepareTickIngest
   double clock_start = 0.0;    // options_.clock() at PrepareTickIngest
-  EvictionReport eviction;
   std::vector<TermId> dirty_todo;
   std::vector<TermPatterns> staged_dirty;
   std::vector<TermId> refresh_todo;
@@ -69,10 +67,6 @@ struct FeedRuntime::TickTransaction::Impl {
   std::vector<TermId> score_terms;
   std::vector<std::shared_ptr<const TermList>> staged_lists;
   std::vector<TermId> deferred_next;
-  // Doc-level postings rebuilt after a renumbering eviction; swapped in at
-  // commit.
-  std::vector<std::vector<DocCount>> rebuilt_doc_postings;
-  bool doc_postings_rebuilt = false;
   std::shared_ptr<IndexSnapshot> next_snapshot;
   bool touch_search = false;
 };
@@ -161,6 +155,11 @@ StatusOr<FeedRuntime> FeedRuntime::Create(Collection collection,
         "history_mode = kMmap requires history_path");
   }
   FeedRuntime runtime(std::move(collection), std::move(options));
+
+  // File the history in time order before any DocId is published: every
+  // later eviction then drops an id prefix and survivors keep their ids.
+  // Append files at the tail, so the order holds for the runtime's life.
+  runtime.collection_.SortByTime();
 
   // Apply retention to the history before the initial sweep, so the sweep
   // mines exactly the retained window (and pays only for it).
@@ -416,8 +415,8 @@ Status FeedRuntime::PrepareIngestGuarded(Snapshot snapshot,
     const Timestamp cutoff = collection_.timeline_length() - window;
     if (cutoff > index_.window_start()) {
       undo->collection_evicted = true;
-      STB_RETURN_NOT_OK(collection_.EvictBefore(cutoff, &tx->eviction,
-                                                &undo->collection_undo));
+      STB_RETURN_NOT_OK(
+          collection_.EvictBefore(cutoff, &undo->collection_undo));
       undo->freq_evicted = true;
       STB_RETURN_NOT_OK(
           index_.EvictBefore(cutoff, pool_.get(), &undo->freq_undo));
@@ -471,39 +470,23 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
   const std::vector<TermId>& dirty_todo = tx->dirty_todo;
   const std::vector<TermId>& refresh_todo = tx->refresh_todo;
   const bool search = options_.search_serving != SearchServing::kNone;
-  const bool rebuild_all =
-      search && stats->evicted && !tx->eviction.ids_preserved;
   if (search) {
     // The score set: this tick's re-mined terms, plus any scoring a
-    // previous degraded tick deferred — or every term after a renumbering
-    // eviction (out-of-order historical ingest; never an Append-driven
-    // feed), when every standing DocId went stale at once and the doc-level
-    // postings rebuild from the collection.
+    // previous degraded tick deferred.
     std::vector<TermId> want;
-    if (rebuild_all) {
-      tx->doc_postings_rebuilt = true;
-      AppendDocPostings(collection_, collection_.doc_id_base(),
-                        &tx->rebuilt_doc_postings);
-      want.resize(index_.num_terms());
-      for (size_t t = 0; t < want.size(); ++t) {
-        want[t] = static_cast<TermId>(t);
-      }
-    } else {
-      want.reserve(dirty_todo.size() + refresh_todo.size() +
-                   deferred_search_terms_.size());
-      want.insert(want.end(), dirty_todo.begin(), dirty_todo.end());
-      want.insert(want.end(), refresh_todo.begin(), refresh_todo.end());
-      want.insert(want.end(), deferred_search_terms_.begin(),
-                  deferred_search_terms_.end());
-      std::sort(want.begin(), want.end());
-      want.erase(std::unique(want.begin(), want.end()), want.end());
-    }
-    if (!rebuild_all && !want.empty() && TickOverDeadline(*tx)) {
+    want.reserve(dirty_todo.size() + refresh_todo.size() +
+                 deferred_search_terms_.size());
+    want.insert(want.end(), dirty_todo.begin(), dirty_todo.end());
+    want.insert(want.end(), refresh_todo.begin(), refresh_todo.end());
+    want.insert(want.end(), deferred_search_terms_.begin(),
+                deferred_search_terms_.end());
+    std::sort(want.begin(), want.end());
+    want.erase(std::unique(want.begin(), want.end()), want.end());
+    if (!want.empty() && TickOverDeadline(*tx)) {
       // Degradation ladder, step 2: defer search re-scoring — the terms
       // carry over and the next tick with headroom scores them. Search
-      // *eviction* still publishes below (a deferred drop would serve dead
-      // DocIds), and a renumbering rebuild is never deferred for the same
-      // reason.
+      // *eviction* still publishes below: a deferred drop would serve dead
+      // DocIds.
       stats->degraded = true;
       tx->deferred_next = std::move(want);
     } else {
@@ -526,9 +509,8 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
         return kEmptyPatterns;
       };
       tx->score_terms = std::move(want);
-      tx->staged_lists = StageSearchPostings(
-          tx->score_terms,
-          rebuild_all ? tx->rebuilt_doc_postings : doc_postings_, slot_for);
+      tx->staged_lists =
+          StageSearchPostings(tx->score_terms, doc_postings_, slot_for);
     }
   }
 
@@ -547,7 +529,7 @@ Status FeedRuntime::StageDerivedGuarded(TickTransaction::Impl* tx,
     std::vector<TermId> terms = tx->score_terms;
     std::vector<std::shared_ptr<const TermList>> lists =
         std::move(tx->staged_lists);
-    if (stats->evicted && !rebuild_all) {
+    if (stats->evicted) {
       // Dirty terms carry all eviction: a term with a posting on an evicted
       // document had a frequency posting at an evicted timestamp, so
       // FrequencyIndex::EvictBefore dirtied it and it is re-scored above —
@@ -651,12 +633,9 @@ Status FeedRuntime::CommitGuarded(TickTransaction::Impl* tx) {
   }
   deferred_search_terms_ = std::move(tx->deferred_next);
 
-  // Doc-level postings follow the eviction: a renumbering one swaps in the
-  // staged rebuild; an id-preserving one trims each list's evicted prefix
-  // (erasing trivially copyable elements cannot throw).
-  if (tx->doc_postings_rebuilt) {
-    doc_postings_ = std::move(tx->rebuilt_doc_postings);
-  } else if (stats->evicted && !doc_postings_.empty()) {
+  // Doc-level postings follow the eviction: trim each list's evicted id
+  // prefix (erasing trivially copyable elements cannot throw).
+  if (stats->evicted && !doc_postings_.empty()) {
     const DocId base = collection_.doc_id_base();
     for (std::vector<DocCount>& list : doc_postings_) {
       if (list.empty() || list.front().doc >= base) continue;

@@ -248,10 +248,14 @@ Status ValidateSnapshotDocuments(size_t num_streams, size_t vocabulary_size,
 /// must not overlap a mutable_vocabulary()->Intern burst.)
 class FeedRuntime {
  public:
-  /// Takes ownership of the historical collection, builds the sharded
-  /// index, runs the initial whole-vocabulary sweep, and applies the
-  /// retention window to the history. The collection may be empty of
-  /// documents (a cold start).
+  /// Takes ownership of the historical collection, files it in time order
+  /// (Collection::SortByTime), applies the retention window to the
+  /// history, builds the sharded index and runs the initial
+  /// whole-vocabulary sweep. The collection may be empty of documents (a
+  /// cold start). A collection filed out of time order is renumbered by
+  /// the re-file, so DocIds that AddDocument returned before Create do not
+  /// survive it; read ids from collection() instead. From then on every
+  /// eviction drops an id prefix and retained documents keep their ids.
   static StatusOr<FeedRuntime> Create(Collection collection,
                                       FeedRuntimeOptions options);
 
@@ -478,8 +482,8 @@ class FeedRuntime {
   // Doc-level postings the search scoring walks (search serving only):
   // per TermId, one (DocId, count) entry per retained document carrying
   // the term, in DocId order. Appended at ingest (a rollback truncates the
-  // appended ids), prefix-trimmed in the commit tail of an evicting tick,
-  // rebuilt from the collection after a renumbering eviction. Kept out of
+  // appended ids) and prefix-trimmed in the commit tail of an evicting tick
+  // (eviction drops an id prefix; retained ids never change). Kept out of
   // FrequencyIndex and Collection so mining-only paths never pay for them.
   std::vector<std::vector<DocCount>> doc_postings_;
   // Per-term bookkeeping for the refresh policy, indexed by TermId.

@@ -329,7 +329,7 @@ TEST(SpatialBinning, EmptyPointSet) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD dispatch: every vector SolveCells path (AVX2, AVX-512) must produce
+// SIMD dispatch: the vector SolveCells path (AVX2) must produce
 // rectangles, scores, and member lists bit-identical to scalar — the
 // kernels are element-wise, so no fold is reassociated.
 // ---------------------------------------------------------------------------
@@ -342,7 +342,6 @@ void ExpectIsaInvariant(const Fn& fn) {
   MaxRectResult scalar = fn();
   std::vector<simd::Isa> wider;
   if (simd::Avx2Supported()) wider.push_back(simd::Isa::kAvx2);
-  if (simd::Avx512Supported()) wider.push_back(simd::Isa::kAvx512);
   for (simd::Isa isa : wider) {
     simd::SetIsaForTest(isa);
     MaxRectResult vectorized = fn();

@@ -416,6 +416,71 @@ TEST(FeedRuntime, SearchServingMatchesFullRebuildEveryTick) {
   EXPECT_GT(runtime->window_start(), 0);
 }
 
+TEST(FeedRuntime, OutOfOrderHistoryEvictsInPlace) {
+  // A history filed stream-major (each stream's whole timeline in turn) is
+  // out of time order. Create re-files it in time order once, so every
+  // eviction afterwards drops an id prefix and each evicting tick re-scores
+  // only the terms it touched, never the whole vocabulary.
+  constexpr size_t kStreams = 4;
+  constexpr Timestamp kHistory = 6;
+  constexpr size_t kVocab = 120;
+  Collection seed = MakeSeedCollection(kStreams, kHistory, kVocab);
+  Rng rng(5150);
+  for (StreamId s = 0; s < kStreams; ++s) {
+    for (Timestamp t = 0; t < kHistory; ++t) {
+      std::vector<TermId> tokens = {static_cast<TermId>(s),
+                                    static_cast<TermId>(kStreams + t)};
+      for (int i = 0; i < 3; ++i) {
+        tokens.push_back(static_cast<TermId>(rng.NextUint64(kVocab)));
+      }
+      ASSERT_TRUE(seed.AddDocument(s, t, std::move(tokens)).ok());
+    }
+  }
+
+  FeedRuntimeOptions opts = BaseOptions(2);
+  opts.retention_window = 4;
+  opts.search_serving = SearchServing::kCombinatorial;
+  auto runtime = FeedRuntime::Create(std::move(seed), opts);
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+
+  const Collection& collection = runtime->collection();
+  EXPECT_EQ(collection.window_start(), kHistory - opts.retention_window);
+  for (size_t i = 0; i < collection.num_documents(); ++i) {
+    const Document& doc = collection.documents()[i];
+    EXPECT_EQ(doc.id, collection.doc_id_base() + i) << "position " << i;
+    if (i > 0) {
+      EXPECT_LE(collection.documents()[i - 1].time, doc.time)
+          << "position " << i;
+    }
+  }
+
+  size_t evicting = 0;
+  for (int tick = 0; tick < 12; ++tick) {
+    SCOPED_TRACE(testing::Message() << "tick " << tick);
+    auto stats = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    ASSERT_TRUE(stats->evicted);
+    ++evicting;
+    EXPECT_GT(stats->search_terms, 0u);
+    EXPECT_LT(stats->search_terms, runtime->index().num_terms());
+    ExpectOnlyLivePostings(*runtime->search_snapshot(),
+                           runtime->collection());
+
+    const InvertedIndex reference =
+        RebuildReferenceSearchIndex(*runtime, SearchServing::kCombinatorial);
+    ExpectIdenticalIndexes(*runtime->search_index(), reference);
+    for (TermId first = 0; first < 12; first += 3) {
+      const std::vector<TermId> query = {first, first + 1, first + 2};
+      const TopKResult live = runtime->Search(query, 5);
+      const TopKResult want = ThresholdTopK(reference, query, 5);
+      EXPECT_EQ(live.docs, want.docs);
+      EXPECT_EQ(live.sorted_accesses, want.sorted_accesses);
+      EXPECT_EQ(live.random_accesses, want.random_accesses);
+    }
+  }
+  EXPECT_EQ(evicting, 12u);
+}
+
 TEST(FeedRuntime, SearchGenerationStaysPutOnEditFreeTicks) {
   // A tick with no eviction, no dirty terms, and no refresh targets leaves
   // the search index bit-identical, so its generation must not move —
@@ -836,9 +901,9 @@ TEST(FeedRuntime, UnscoredTermsShareListStorageAcrossGenerations) {
 TEST(FeedRuntimeSearchOracle,
      RandomTicksWithEvictionsAndDegradationMatchEngine) {
   // The randomized oracle for the search read plane: random feeds through
-  // evicting ticks — id-preserving, or renumbering after an out-of-order
-  // seed — degraded ticks that defer re-scoring, refresh sweeps and, in the
-  // fault build, armed faults. After every tick the published snapshot
+  // evicting ticks (out-of-order seeds included, which Create re-files in
+  // time order), degraded ticks that defer re-scoring, refresh sweeps and,
+  // in the fault build, armed faults. After every tick the published snapshot
   // serves only live documents; after every tick that deferred nothing it
   // equals a from-scratch BurstySearchEngine over the retained collection
   // and standing patterns, and so do TA answers, access counts included.
@@ -866,7 +931,8 @@ TEST(FeedRuntimeSearchOracle,
     };
     Collection seed = MakeSeedCollection(kStreams, 2, kVocab);
     // Every third trial files a t=1 document before the t=0 ones: the
-    // collection is then out of time order, and every eviction renumbers.
+    // collection is then out of time order, Create re-files it, and every
+    // eviction still drops an id prefix.
     if (trial % 3 == 2) {
       ASSERT_TRUE(seed.AddDocument(0, 1, {TermId{1}, TermId{2}}).ok());
     }
