@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 
 #include "stburst/common/logging.h"
-#include "stburst/core/max_clique.h"
 
 namespace stburst {
 
@@ -39,9 +37,9 @@ std::vector<CombinatorialPattern> StComb::MinePatterns(
 // which makes the intra-coordinate order irrelevant and keeps
 // closed-interval semantics ([a,b] and [b,c] intersect) via the end+1 close
 // coordinate. This matches iterating MaxWeightClique over the shrinking
-// pool exactly — same stabs, same members, same scores — at
-// O(m log m + rounds * m_live) instead of O(rounds * m log m) with two
-// allocations per round.
+// pool exactly — same stabs, same members, same scores (tested, with the
+// scores summed in member order) — at O(m log m + rounds * m_live) instead
+// of O(rounds * m log m) with two allocations per round.
 std::vector<CombinatorialPattern> StComb::MineFromIntervals(
     std::vector<StreamInterval> intervals) const {
   std::vector<CombinatorialPattern> patterns;
@@ -66,7 +64,15 @@ std::vector<CombinatorialPattern> StComb::MineFromIntervals(
   std::sort(events.begin(), events.end(),
             [](const Event& a, const Event& b) { return a.at < b.at; });
 
-  thread_local std::unordered_map<int64_t, size_t> best_by_tag;
+  // Member selection scratch: per stream, the heaviest stabbed interval of
+  // the current round, valid only while its stamp equals `round` (a new
+  // round invalidates every slot by bumping the stamp, not by clearing).
+  struct StreamBest {
+    uint32_t round = 0;
+    uint32_t idx = 0;
+  };
+  thread_local std::vector<StreamBest> best_by_stream;
+  thread_local uint32_t round = 0;
   thread_local std::vector<uint32_t> members;
 
   while (patterns.size() < options_.max_patterns && !alive.empty()) {
@@ -90,27 +96,32 @@ std::vector<CombinatorialPattern> StComb::MineFromIntervals(
     if (best_weight <= 0.0) break;
 
     // Members: the stabbed intervals, heaviest per stream (the paper's
-    // one-interval-per-stream eligibility rule). `alive` is ascending, so
-    // ties resolve exactly as an index-order scan of the full pool.
-    best_by_tag.clear();
+    // one-interval-per-stream eligibility rule). `alive` is ascending and a
+    // stream's pick changes only on strictly greater burstiness, so ties
+    // resolve exactly as an index-order scan of the full pool.
+    if (++round == 0) {  // wrapped: stale stamps could alias the new round
+      for (StreamBest& slot : best_by_stream) slot.round = 0;
+      round = 1;
+    }
+    members.clear();
     for (uint32_t idx : alive) {
       const StreamInterval& si = intervals[idx];
       if (!si.interval.Contains(best_stab)) continue;
-      auto [it, inserted] =
-          best_by_tag.emplace(static_cast<int64_t>(si.stream), size_t{idx});
-      if (!inserted && intervals[it->second].burstiness < si.burstiness) {
-        it->second = idx;
+      if (si.stream >= best_by_stream.size()) {
+        best_by_stream.resize(static_cast<size_t>(si.stream) + 1);
+      }
+      StreamBest& slot = best_by_stream[si.stream];
+      if (slot.round != round) {
+        slot = StreamBest{round, idx};
+        members.push_back(si.stream);
+      } else if (intervals[slot.idx].burstiness < si.burstiness) {
+        slot.idx = idx;
       }
     }
-
-    // Fold members in ascending pool order: the map's iteration order
-    // depends on its (thread_local) bucket history, and the score is a
-    // float sum whose result must not — determinism across thread counts
-    // and scheduling requires a fixed fold order.
-    members.clear();
-    for (const auto& [tag, idx] : best_by_tag) {
-      members.push_back(static_cast<uint32_t>(idx));
-    }
+    // Fold members in ascending pool order: the score is a float sum whose
+    // result must not depend on discovery order — determinism across
+    // thread counts and scheduling requires a fixed fold order.
+    for (uint32_t& m : members) m = best_by_stream[m].idx;
     std::sort(members.begin(), members.end());
 
     CombinatorialPattern p;

@@ -331,10 +331,11 @@ size_t ColdTier::FoldEvicted(
     undo->folded_until = folded_until_;
     undo->stream_upper_bound = stream_ub_;
     undo->term_upper_bound = term_ub_;
-    undo->saved_delta.clear();
+    undo->edits.clear();
   }
   size_t folded_terms = 0;
   for (const auto& [term, postings] : removed) {
+    std::vector<ColdRow>* rows = nullptr;  // the term's delta rows, if any
     bool touched = false;
     for (const TermPosting& p : postings) {
       // Idempotence: [0, folded_until_) is already aggregated (possibly by a
@@ -344,21 +345,29 @@ size_t ColdTier::FoldEvicted(
       if (!touched) {
         touched = true;
         ++folded_terms;
-        if (undo != nullptr) {
-          const std::vector<ColdRow>* existing = DeltaForTerm(term);
-          undo->saved_delta.emplace_back(
-              term, existing == nullptr ? std::vector<ColdRow>() : *existing);
-        }
+        rows = DeltaForTerm(term);
       }
       const auto bucket = static_cast<uint32_t>(p.time / bucket_width_);
-      std::vector<ColdRow>& rows = delta_[term];
-      auto it = LowerBound(rows, p.stream, bucket);
-      if (it == rows.end() || it->stream != p.stream || it->bucket != bucket) {
-        it = rows.insert(it, ColdRow{p.stream, bucket, 0.0, 0.0, 0});
+      size_t index = 0;
+      bool exists = false;
+      if (rows != nullptr) {
+        const auto it = LowerBound(*rows, p.stream, bucket);
+        index = static_cast<size_t>(it - rows->begin());
+        exists = it != rows->end() && it->stream == p.stream &&
+                 it->bucket == bucket;
       }
-      it->sum += p.count;
-      it->max = std::max(it->max, p.count);
-      it->count += 1;
+      const ColdRow fresh{p.stream, bucket, 0.0, 0.0, 0};
+      if (undo != nullptr) {
+        undo->edits.push_back(ColdRowEdit{term, static_cast<uint32_t>(index),
+                                          !exists,
+                                          exists ? (*rows)[index] : fresh});
+      }
+      if (rows == nullptr) rows = &delta_[term];
+      if (!exists) rows->insert(rows->begin() + index, fresh);
+      ColdRow& row = (*rows)[index];
+      row.sum += p.count;
+      row.max = std::max(row.max, p.count);
+      row.count += 1;
       stream_ub_ = std::max(stream_ub_, p.stream + 1);
       term_ub_ = std::max(term_ub_, term + 1);
     }
@@ -368,17 +377,28 @@ size_t ColdTier::FoldEvicted(
 }
 
 void ColdTier::RollbackFold(ColdFoldUndo&& undo) {
-  for (auto& [term, rows] : undo.saved_delta) {
-    if (rows.empty()) {
-      delta_.erase(term);
-    } else {
-      delta_[term] = std::move(rows);
+  // Reverse replay restores each edit's pre-edit state in turn. A logged
+  // insert that never happened (the fold threw inside it) is recognized by
+  // its key: the key was absent before the insert, so only the insert can
+  // have put a row with it at `index`. Delta entries are never empty, so
+  // an entry emptied here was created by the fold.
+  for (auto e = undo.edits.rbegin(); e != undo.edits.rend(); ++e) {
+    const auto found = delta_.find(e->term);
+    if (found == delta_.end()) continue;  // the fold threw creating it
+    std::vector<ColdRow>& rows = found->second;
+    if (!e->inserted) {
+      rows[e->index] = e->row;
+    } else if (e->index < rows.size() &&
+               rows[e->index].stream == e->row.stream &&
+               rows[e->index].bucket == e->row.bucket) {
+      rows.erase(rows.begin() + e->index);
     }
+    if (rows.empty()) delta_.erase(found);
   }
   folded_until_ = undo.folded_until;
   stream_ub_ = undo.stream_upper_bound;
   term_ub_ = undo.term_upper_bound;
-  undo.saved_delta.clear();
+  undo.edits.clear();
 }
 
 std::vector<ColdRow> ColdTier::TermRows(TermId term) const {

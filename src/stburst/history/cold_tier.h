@@ -77,15 +77,29 @@ struct ColdRow {
   }
 };
 
-/// Captured pre-fold tier state for one `FoldEvicted` call, restored exactly
-/// by `RollbackFold`. Folds only mutate the in-memory delta overlay (the
-/// published base generation is immutable), so rollback is pure memory.
+/// One row edit of a fold, logged before it is applied. `inserted`: the
+/// fold inserted a new row at `index` of the term's delta rows, and `row`
+/// holds that row's (stream, bucket) key; otherwise it updated the row at
+/// `index`, and `row` holds its value before the update.
+struct ColdRowEdit {
+  TermId term = 0;
+  uint32_t index = 0;
+  bool inserted = false;
+  ColdRow row;
+};
+
+/// Pre-fold tier state for one `FoldEvicted` call, restored exactly by
+/// `RollbackFold`. Folds only mutate the in-memory delta overlay (the
+/// published base generation is immutable), so rollback is pure memory:
+/// the watermark and bounds, plus the fold's row edits, O(folded postings)
+/// however large the tier has grown.
 struct ColdFoldUndo {
   Timestamp folded_until = 0;
   uint32_t stream_upper_bound = 0;
   uint32_t term_upper_bound = 0;
-  /// Per touched term, the term's delta rows before the fold.
-  std::vector<std::pair<TermId, std::vector<ColdRow>>> saved_delta;
+  /// The fold's row edits in the order it made them. Each is logged before
+  /// it is applied, so a fold that throws midway still rolls back.
+  std::vector<ColdRowEdit> edits;
 };
 
 class ColdTier {
@@ -149,8 +163,9 @@ class ColdTier {
   /// (stream, time) order) into the tier and advances folded_until() to
   /// `cutoff`. Postings with time < folded_until() (already covered) or
   /// time >= cutoff are skipped. Returns the number of terms that
-  /// contributed at least one cell. `undo`, when non-null, captures the
-  /// pre-fold state for RollbackFold.
+  /// contributed at least one cell. `undo`, when non-null, receives the
+  /// pre-fold watermark and bounds and a log of every row edit, so
+  /// RollbackFold costs O(folded postings), not O(tier).
   size_t FoldEvicted(
       std::span<const std::pair<TermId, std::vector<TermPosting>>> removed,
       Timestamp cutoff, ColdFoldUndo* undo);

@@ -766,35 +766,6 @@ std::vector<TermId> FeedRuntime::SelectRefreshTargets(
   return targets;
 }
 
-void FeedRuntime::ScoreSearchTerm(const TermPatterns& slot,
-                                  std::span<const DocCount> docs,
-                                  std::vector<TermPattern>* scratch,
-                                  std::vector<Posting>* out) const {
-  scratch->clear();
-  if (options_.search_serving == SearchServing::kCombinatorial) {
-    for (const CombinatorialPattern& p : slot.combinatorial) {
-      scratch->push_back(TermPattern{p.streams, p.timeframe, p.score});
-    }
-  } else {
-    for (const SpatiotemporalWindow& w : slot.regional) {
-      scratch->push_back(TermPattern{w.streams, w.timeframe, w.score});
-    }
-  }
-  // TermPattern's overlap test binary-searches the stream list; the
-  // miners already emit sorted stream sets, but sort defensively — the
-  // lists are tiny and Build (via PatternIndex::Add) does the same.
-  for (TermPattern& p : *scratch) {
-    std::sort(p.streams.begin(), p.streams.end());
-  }
-  // The list may still hold an evicted prefix (trimmed at commit): score
-  // only the retained documents.
-  const auto live = std::lower_bound(
-      docs.begin(), docs.end(), collection_.doc_id_base(),
-      [](const DocCount& e, DocId doc) { return e.doc < doc; });
-  ScoreDocPostings(collection_, docs.subspan(live - docs.begin()), *scratch,
-                   out);
-}
-
 std::vector<std::shared_ptr<const TermList>> FeedRuntime::StageSearchPostings(
     const std::vector<TermId>& terms,
     const std::vector<std::vector<DocCount>>& doc_postings,
@@ -802,21 +773,31 @@ std::vector<std::shared_ptr<const TermList>> FeedRuntime::StageSearchPostings(
   // Fanned across the standing pool: per-worker scratch (the calling
   // thread takes the highest worker id), each term scored and frozen —
   // sorted into its TermList — on its worker, results into index-addressed
-  // slots: schedule-independent output at any thread count. Reads only
-  // frozen state (collection, doc-level postings, standing + staged slots),
-  // so workers share it without synchronization.
+  // slots: schedule-independent output at any thread count. Workers share
+  // only frozen state (the cell table, doc-level postings, standing +
+  // staged slots) without synchronization. The cell table is this call's
+  // own: rebuilt per call, it needs no rollback or trim.
+  const DocCellTable cells = DocCellTable::Build(collection_);
+  const bool combinatorial =
+      options_.search_serving == SearchServing::kCombinatorial;
   std::vector<std::shared_ptr<const TermList>> staged(terms.size());
   const size_t workers = pool_ != nullptr ? pool_->num_threads() + 1 : 1;
-  std::vector<std::vector<TermPattern>> pattern_scratch(workers);
+  std::vector<StreamPatternIndex> pattern_scratch(workers);
   std::vector<std::vector<Posting>> posting_scratch(workers);
   ParallelFor(pool_.get(), 0, terms.size(), [&](size_t worker, size_t i) {
     STBURST_FAULT_POINT_THROW("runtime.search_update");
     const TermId term = terms[i];
     if (term >= doc_postings.size()) return;
+    const TermPatterns& slot = slot_for(term);
+    StreamPatternIndex& patterns = pattern_scratch[worker];
+    if (combinatorial) {
+      patterns.Reset(slot.combinatorial);
+    } else {
+      patterns.Reset(slot.regional);
+    }
     std::vector<Posting>& scored = posting_scratch[worker];
     scored.clear();
-    ScoreSearchTerm(slot_for(term), doc_postings[term],
-                    &pattern_scratch[worker], &scored);
+    ScoreDocPostings(cells, doc_postings[term], patterns, &scored);
     // An exact-size copy: the frozen list keeps its buffer for as long as
     // any generation shares it.
     staged[i] = TermList::Freeze(

@@ -57,7 +57,6 @@
 
 #include <functional>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -438,20 +437,13 @@ class FeedRuntime {
   /// the tick's mutations). No-throw.
   void RollbackTick(FeedTickUndo* undo);
 
-  /// Scores one term's retained doc-level postings `docs` against `slot`,
-  /// appending the positive search postings to `out` in DocId order. Const
-  /// and scratch-parameterized so StageSearchPostings can run it on pool
-  /// workers.
-  void ScoreSearchTerm(const TermPatterns& slot,
-                       std::span<const DocCount> docs,
-                       std::vector<TermPattern>* scratch,
-                       std::vector<Posting>* out) const;
-
   /// Scores every term in `terms` (slot via `slot_for`, documents from
-  /// `doc_postings`) across the standing pool and freezes each result into
-  /// its TermList on the same worker — index-addressed slots, deterministic
-  /// at any thread count. The staging half of the search update; the
-  /// snapshot build swaps the lists in with InvertedIndex::Successor.
+  /// `doc_postings`, cells from a DocCellTable of the retained collection
+  /// built once per call) with ScoreDocPostings across the standing pool
+  /// and freezes each result into its TermList on the same worker —
+  /// index-addressed slots, deterministic at any thread count. The staging
+  /// half of the search update; the snapshot build swaps the lists in with
+  /// InvertedIndex::Successor.
   std::vector<std::shared_ptr<const TermList>> StageSearchPostings(
       const std::vector<TermId>& terms,
       const std::vector<std::vector<DocCount>>& doc_postings,

@@ -416,6 +416,59 @@ TEST(FeedRuntime, SearchServingMatchesFullRebuildEveryTick) {
   EXPECT_GT(runtime->window_start(), 0);
 }
 
+TEST(FeedRuntime, RegionalSearchServingMatchesFullRebuildEveryTick) {
+  // The same acceptance for SearchServing::kRegional: the live kernel
+  // scores the standing STLocal windows (stream sets drawn from a map
+  // region, not a clique) and must stay posting-identical to a from-scratch
+  // engine over them through appends, evictions and refresh sweeps, with
+  // TA answers equal down to the access counts.
+  constexpr size_t kStreams = 8;
+  constexpr size_t kVocab = 60;
+
+  FeedRuntimeOptions opts = BaseOptions(2);
+  opts.retention_window = 10;
+  opts.refresh_budget = 4;
+  opts.miner.mine_regional = true;
+  opts.miner.positions.resize(kStreams);
+  for (size_t s = 0; s < kStreams; ++s) {
+    opts.miner.positions[s] =
+        Point2D{static_cast<double>(s % 4), static_cast<double>(s / 4)};
+  }
+  opts.miner.model_factory = WithPriorFloor(
+      [] { return std::make_unique<GlobalMeanModel>(); }, 0.2);
+  opts.search_serving = SearchServing::kRegional;
+  auto runtime =
+      FeedRuntime::Create(MakeSeedCollection(kStreams, 3, kVocab), opts);
+  ASSERT_TRUE(runtime.ok()) << runtime.status().ToString();
+
+  Rng rng(4242);
+  size_t ticks_with_postings = 0;
+  for (int tick = 0; tick < 25; ++tick) {
+    auto stats = runtime->Tick(MakeSnapshot(rng, kStreams, kVocab));
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    const InvertedIndex reference =
+        RebuildReferenceSearchIndex(*runtime, SearchServing::kRegional);
+    ExpectIdenticalIndexes(*runtime->search_index(), reference);
+    if (reference.total_postings() > 0) ++ticks_with_postings;
+
+    for (const std::vector<TermId>& query :
+         {std::vector<TermId>{0, 1, 2}, std::vector<TermId>{3},
+          std::vector<TermId>{4, 9, 14}}) {
+      const TopKResult live = runtime->Search(query, 5);
+      const TopKResult rebuilt = ThresholdTopK(reference, query, 5);
+      ASSERT_EQ(live.docs.size(), rebuilt.docs.size());
+      for (size_t i = 0; i < live.docs.size(); ++i) {
+        EXPECT_EQ(live.docs[i], rebuilt.docs[i]);
+      }
+      EXPECT_EQ(live.sorted_accesses, rebuilt.sorted_accesses);
+      EXPECT_EQ(live.random_accesses, rebuilt.random_accesses);
+    }
+  }
+  // Not vacuous: regional windows scored documents, and eviction ran.
+  EXPECT_GT(ticks_with_postings, 20u);
+  EXPECT_GT(runtime->window_start(), 0);
+}
+
 TEST(FeedRuntime, OutOfOrderHistoryEvictsInPlace) {
   // A history filed stream-major (each stream's whole timeline in turn) is
   // out of time order. Create re-files it in time order once, so every

@@ -224,6 +224,88 @@ TEST(ColdTierTest, FoldAggregatesRollsBackAndIsIdempotent) {
                  7);
 }
 
+// Folded postings of `terms` random terms over times [from, to): sparse,
+// in canonical (stream, time) order, as FrequencyEvictUndo captures them.
+std::vector<std::pair<TermId, std::vector<TermPosting>>> RandomRemoved(
+    Rng& rng, TermId vocab, size_t terms, Timestamp from, Timestamp to) {
+  std::vector<std::pair<TermId, std::vector<TermPosting>>> removed;
+  for (size_t i = 0; i < terms; ++i) {
+    std::vector<TermPosting> postings;
+    for (StreamId s = 0; s < 5; ++s) {
+      for (Timestamp t = from; t < to; ++t) {
+        if (rng.Bernoulli(0.4)) {
+          postings.push_back(
+              {s, t, static_cast<double>(1 + rng.NextUint64(4))});
+        }
+      }
+    }
+    removed.push_back(
+        {static_cast<TermId>(rng.NextUint64(vocab)), std::move(postings)});
+  }
+  return removed;
+}
+
+void ExpectSameTier(const ColdTier& a, const ColdTier& b, TermId vocab) {
+  EXPECT_EQ(a.folded_until(), b.folded_until());
+  EXPECT_EQ(a.stream_upper_bound(), b.stream_upper_bound());
+  EXPECT_EQ(a.term_upper_bound(), b.term_upper_bound());
+  EXPECT_EQ(a.delta_rows(), b.delta_rows());
+  for (TermId t = 0; t < vocab; ++t) {
+    const std::vector<ColdRow> ra = a.TermRows(t);
+    const std::vector<ColdRow> rb = b.TermRows(t);
+    ASSERT_EQ(ra.size(), rb.size()) << "term " << t;
+    if (ra.empty()) continue;  // memcmp must not see an empty vector's null
+    EXPECT_EQ(std::memcmp(ra.data(), rb.data(), ra.size() * sizeof(ColdRow)),
+              0)
+        << "term " << t;
+  }
+}
+
+TEST(ColdTierTest, RollbackFoldRestoresRowsByteForByte) {
+  // Two tiers with the same committed history; one folds and rolls back a
+  // fold that inserts rows mid-vector (streams 0-4 of later buckets land
+  // between earlier rows), updates existing rows, and creates new terms
+  // (vocabulary 30, history over 12 of them). Byte-equal rows and the same
+  // delta_rows() afterwards; the same fold then applies to both alike.
+  for (uint64_t seed = 0; seed < 10; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(40 + seed);
+    auto a = ColdTier::CreateInMemory(/*bucket_width=*/3);
+    auto b = ColdTier::CreateInMemory(/*bucket_width=*/3);
+    ASSERT_TRUE(a.ok() && b.ok());
+    for (Timestamp t = 0; t < 8; t += 2) {
+      const auto history = RandomRemoved(rng, 12, 8, t, t + 2);
+      a->FoldEvicted(history, t + 2, nullptr);
+      b->FoldEvicted(history, t + 2, nullptr);
+    }
+    const auto fold = RandomRemoved(rng, 30, 16, 8, 11);
+    ColdFoldUndo undo;
+    ASSERT_GT(a->FoldEvicted(fold, 11, &undo), 0u);
+    ASSERT_FALSE(undo.edits.empty());
+    EXPECT_TRUE(std::any_of(undo.edits.begin(), undo.edits.end(),
+                            [](const ColdRowEdit& e) { return !e.inserted; }));
+    EXPECT_NE(a->delta_rows(), b->delta_rows());
+    a->RollbackFold(std::move(undo));
+    ExpectSameTier(*a, *b, 30);
+
+    a->FoldEvicted(fold, 11, nullptr);
+    b->FoldEvicted(fold, 11, nullptr);
+    ExpectSameTier(*a, *b, 30);
+  }
+
+  // A rolled-back first fold leaves no trace: the tier is still empty and
+  // adopts the live window like a fresh one.
+  auto fresh = ColdTier::CreateInMemory(3);
+  ASSERT_TRUE(fresh.ok());
+  Rng rng(7);
+  ColdFoldUndo undo;
+  ASSERT_GT(fresh->FoldEvicted(RandomRemoved(rng, 30, 8, 0, 4), 4, &undo), 0u);
+  fresh->RollbackFold(std::move(undo));
+  EXPECT_EQ(fresh->delta_rows(), 0u);
+  ASSERT_TRUE(fresh->AttachAt(5).ok());
+  EXPECT_EQ(fresh->covered_start(), 5);
+}
+
 TEST(ColdTierTest, AttachAdoptsWindowStartAndRejectsGaps) {
   auto tier = ColdTier::CreateInMemory(4);
   ASSERT_TRUE(tier.ok());

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "stburst/common/random.h"
+#include "stburst/core/max_clique.h"
 
 namespace stburst {
 namespace {
@@ -152,6 +156,108 @@ TEST(StComb, PatternsScoreEqualsMemberSum) {
     double total_interval_score = 0.0;
     for (const auto& si : intervals) total_interval_score += si.burstiness;
     EXPECT_LE(total_pattern_score, total_interval_score + 1e-9);
+  }
+}
+
+// §3's algorithm as stated: iterate MaxWeightClique over the pool, zeroing
+// each reported clique's intervals. MineFromIntervals claims to match it
+// exactly. The score is summed over members in ascending index order, the
+// order MineFromIntervals folds in (MaxWeightClique's own weight sums in
+// hash-map order).
+std::vector<CombinatorialPattern> IteratedMaxWeightCliques(
+    const std::vector<StreamInterval>& intervals,
+    const StCombOptions& options) {
+  std::vector<WeightedInterval> pool;
+  for (const StreamInterval& si : intervals) {
+    pool.push_back(WeightedInterval{si.interval, si.burstiness,
+                                    static_cast<int64_t>(si.stream)});
+  }
+  std::vector<CombinatorialPattern> patterns;
+  while (patterns.size() < options.max_patterns) {
+    const CliqueResult clique = MaxWeightClique(pool);
+    if (clique.empty()) break;
+    CombinatorialPattern p;
+    for (size_t i = 0; i < clique.members.size(); ++i) {
+      const size_t idx = clique.members[i];
+      p.score += pool[idx].weight;
+      p.streams.push_back(intervals[idx].stream);
+      p.timeframe = i == 0 ? pool[idx].interval
+                           : p.timeframe.Intersect(pool[idx].interval);
+      pool[idx].weight = 0.0;
+    }
+    std::sort(p.streams.begin(), p.streams.end());
+    if (p.streams.size() >= options.min_streams) {
+      patterns.push_back(std::move(p));
+    }
+  }
+  std::sort(patterns.begin(), patterns.end(),
+            [](const CombinatorialPattern& a, const CombinatorialPattern& b) {
+              return a.score > b.score;
+            });
+  return patterns;
+}
+
+TEST(StComb, MineFromIntervalsMatchesIteratedMaxWeightClique) {
+  // Randomized pools built to hit every tie path: burstiness on a coarse
+  // dyadic grid (many equal weights, and every partial sum exact, so both
+  // sweeps compare the same numbers), endpoints from a narrow range (many
+  // intervals touching at shared coordinates), several intervals per
+  // stream (adjacent or gapped), a few zero-weight and invalid intervals,
+  // a few same-stream equal-weight overlaps, and sparse stream ids up to
+  // ~10^4. The calls run back to back on this one thread with the
+  // stream-id range shrinking and growing, so MineFromIntervals'
+  // thread_local scratch carries slots of larger ids from earlier calls.
+  Rng rng(2024);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(trial);
+    const uint64_t id_range = uint64_t{10000} >> (trial % 8);
+    const size_t streams = 1 + rng.NextUint64(12);
+    std::vector<StreamInterval> intervals;
+    for (size_t k = 0; k < streams; ++k) {
+      const StreamId s = static_cast<StreamId>(rng.NextUint64(id_range));
+      bool taken = false;
+      for (const StreamInterval& si : intervals) taken |= si.stream == s;
+      if (taken) continue;  // one run of intervals per stream id
+      Timestamp t = static_cast<Timestamp>(rng.NextUint64(4));
+      const size_t runs = 1 + rng.NextUint64(4);
+      for (size_t r = 0; r < runs && t < 24; ++r) {
+        const Timestamp end = t + static_cast<Timestamp>(rng.NextUint64(5));
+        const double w =
+            rng.Bernoulli(0.05) ? 0.0
+                                : 0.25 * static_cast<double>(
+                                             1 + rng.NextUint64(4));
+        intervals.push_back(SI(s, t, end, w));
+        t = end + 1 + static_cast<Timestamp>(rng.NextUint64(3));
+      }
+      if (rng.Bernoulli(0.05)) intervals.push_back(SI(s, 40, 30, 1.0));
+      if (rng.Bernoulli(0.15)) {
+        // Outside MineFromIntervals' precondition, on purpose: an interval
+        // overlapping one of its own stream with the same burstiness pins
+        // the per-stream tie rule (the smaller pool index wins), which
+        // MaxWeightClique defines for overlapping same-tag input.
+        const StreamInterval& twin = intervals.back();
+        intervals.push_back(SI(s, twin.interval.start, twin.interval.end + 1,
+                               twin.burstiness));
+      }
+    }
+    // Interleave streams so pool order is not stream order.
+    for (size_t i = intervals.size(); i > 1; --i) {
+      std::swap(intervals[i - 1], intervals[rng.NextUint64(i)]);
+    }
+    StCombOptions options;
+    if (trial % 5 == 1) options.max_patterns = 1 + rng.NextUint64(3);
+    if (trial % 5 == 2) options.min_streams = 2;
+
+    const std::vector<CombinatorialPattern> want =
+        IteratedMaxWeightCliques(intervals, options);
+    const std::vector<CombinatorialPattern> got =
+        StComb(options).MineFromIntervals(intervals);
+    ASSERT_EQ(got.size(), want.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].streams, want[i].streams) << "pattern " << i;
+      EXPECT_EQ(got[i].timeframe, want[i].timeframe) << "pattern " << i;
+      EXPECT_EQ(got[i].score, want[i].score) << "pattern " << i;
+    }
   }
 }
 
